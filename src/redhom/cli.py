@@ -491,6 +491,22 @@ def cmd_check(args) -> int:
 # parser
 
 
+def finite(text: str) -> float:
+    """argparse type: a finite float (NaN and infinities exit 2)."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def positive(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    value = finite(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="redhom",
@@ -498,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "reductive homogeneous spaces",
     )
     parser.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--tol", type=positive, default=1e-9)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--normalization", choices=["negK", "bprime"], default=None)
     parser.add_argument("--out", default=None, help="write output to a file")
@@ -521,9 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tensor", help="Ricci/torsion/scalar of a connection")
     p.add_argument("what", choices=["ricci", "torsion", "scalar"])
     p.add_argument("--space", required=True)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--t", type=float, default=None)
+    p.add_argument("--alpha", type=finite, default=None)
+    p.add_argument("--s", type=finite, default=None)
+    p.add_argument("--t", type=positive, default=None)
     p.set_defaults(func=cmd_tensor)
 
     p = sub.add_parser("einstein", help="Einstein quadratics on two-summand spaces")

@@ -28,6 +28,7 @@ from .reductive import (
     ReductiveSpace,
     ReductiveError,
     check_inclusions,
+    frame_rescale,
     frame_sigma,
     frame_tables,
     lie_group_space,
@@ -55,8 +56,7 @@ class NomizuMap:
         """Same map expressed in the frame of another metric."""
         s_old = frame_sigma(self.space, self.metric)
         s_new = frame_sigma(self.space, metric)
-        r = s_new / s_old
-        coeffs = np.einsum("abc,a,b,c->abc", self.coeffs, 1.0 / r, 1.0 / r, r)
+        coeffs = frame_rescale(self.coeffs, s_new / s_old)
         return NomizuMap(self.space, metric, coeffs, self.label)
 
 
@@ -91,9 +91,7 @@ def nomizu_levi_civita_gt(space: ReductiveSpace, t: float) -> NomizuMap:
     raw[s1, s1, :] = 0.5 * space.bm[s1, s1, :] * m2_mask
     raw[s1, s2, :] = t * space.bm[s1, s2, :]
     raw[s2, s1, :] = (1.0 - t) * space.bm[s2, s1, :]
-    sigma = frame_sigma(space, metric)
-    inv = 1.0 / sigma
-    coeffs = np.einsum("abc,a,b,c->abc", raw, inv, inv, sigma)
+    coeffs = frame_rescale(raw, frame_sigma(space, metric))
     return NomizuMap(space, metric, coeffs, label=f"levi-civita t={t:g}")
 
 
@@ -133,17 +131,14 @@ def biinvariant_family(space: ReductiveSpace, ideals, alphas) -> NomizuMap:
         offset += basis.shape[0]
         proj = inv[:, rows] @ basis          # projection onto this ideal
         comp = m @ proj                      # ideal components of the frame vectors
-        vecs = np.einsum("ijk,ai,bj->abk", alg.structure, comp, comp)
-        coeffs += 0.5 * (1.0 - alpha) * np.einsum(
-            "abk,kl,cl->abc", vecs, space.ip.gram, m
-        )
+        coeffs += 0.5 * (1.0 - alpha) * (alg.brackets(comp, comp) @ (space.ip.gram @ m.T))
     label = "biinv alpha=(" + ",".join(f"{a:g}" for a in alphas) + ")"
     return NomizuMap(space, metric, coeffs, label=label)
 
 
 def _ideal_leak(alg: LieAlgebra, basis: np.ndarray) -> float:
     """Residual of [g, ideal] outside the ideal span."""
-    brs = np.einsum("ijk,aj->iak", alg.structure, basis).reshape(-1, alg.dim)
+    brs = alg.brackets(np.eye(alg.dim), basis).reshape(-1, alg.dim)
     proj = (brs @ basis.T) @ basis
     return float(np.abs(brs - proj).max()) if brs.size else 0.0
 

@@ -219,18 +219,25 @@ def ricci_st_closed(space: ReductiveSpace, s: float, t: float,
                    label=f"s={s:g} t={t:g}")
 
 
+def _norm_sums(space: ReductiveSpace):
+    """Per-vector bracket norm sums (P_j, Q_j over m1; R_l over m2)."""
+    s1, s2 = space.summand_slices()
+    bm = space.bm
+    p = (bm[s1, s1, s2] ** 2).sum(axis=(1, 2))
+    q = (bm[s1, s2, :] ** 2).sum(axis=(1, 2))
+    r = (bm[s2, s1, :] ** 2).sum(axis=(1, 2))
+    return p, q, r
+
+
 def scalar_st_closed(space: ReductiveSpace, s: float, t: float,
                      q_k: np.ndarray | None = None) -> float:
     """Scalar curvature of nabla^{s,t} from the displayed norm sums."""
     if len(space.summands) != 2:
         raise ReductiveError("the closed form needs exactly two summands")
     sl1, sl2 = space.summand_slices()
-    idx = space.summand_index()
-    m2_mask = (idx == 1).astype(float)
-    bm = space.bm
     cas = casimir(space, q_k=q_k)
-    p = float(np.einsum("ijc,c->", bm[sl1, sl1, :] ** 2, m2_mask))
-    q = float(np.einsum("ikc->", bm[sl1, sl2, :] ** 2))
+    p, q, _ = _norm_sums(space)
+    p, q = float(p.sum()), float(q.sum())
     a1 = float(np.trace(cas.a_gram[sl1, sl1]))
     a2 = float(np.trace(cas.a_gram[sl2, sl2]))
     k1 = 0.5 * (s * s * t - 2.0 * s + 2.0 * s * t)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .reductive import MetricSpec, ReductiveSpace, ReductiveError, casimir, check_inclusions
-from .curvature import ricci_alpha_closed, ricci_st_closed
+from .curvature import _norm_sums, ricci_alpha_closed, ricci_st_closed
 
 
 @dataclass
@@ -49,18 +49,6 @@ def solve_quadratic(a: float, b: float, c: float, rel_tol: float = 1e-10):
     sq = math.sqrt(disc)
     r1, r2 = (-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)
     return tuple(sorted([(r1, 1), (r2, 1)])), disc, False
-
-
-def _norm_sums(space: ReductiveSpace):
-    """Per-vector bracket norm sums (P_j, Q_j over m1; R_l over m2)."""
-    s1, s2 = space.summand_slices()
-    idx = space.summand_index()
-    m2_mask = (idx == 1).astype(float)
-    bm = space.bm
-    p = np.einsum("jic,c->j", bm[s1, s1, :] ** 2, m2_mask)
-    q = np.einsum("jkc->j", bm[s1, s2, :] ** 2)
-    r = np.einsum("lic->l", bm[s2, s1, :] ** 2)
-    return p, q, r
 
 
 def riemannian_quadratic(space: ReductiveSpace, q_k: np.ndarray | None = None,

@@ -95,6 +95,16 @@ class LieAlgebra:
             )
         return np.einsum("ijk,i,j->k", self.structure, x, y)
 
+    def brackets(self, a, b) -> np.ndarray:
+        """Coefficient vectors of [A_i, B_j] for coefficient rows of A and B.
+
+        Shape (len(A), len(B), dim).  Fixed contraction order: A against the
+        first structure slot (tensordot), then B against the second (batched
+        matmul).  ``@ (ip.gram @ C.T)`` reads it off in an ip-orthonormal basis C.
+        """
+        return np.asarray(b, dtype=float) @ np.tensordot(
+            np.asarray(a, dtype=float), self.structure, (1, 0))
+
     def ad(self, x) -> np.ndarray:
         """Matrix of ad(X) acting on coefficient vectors."""
         return np.einsum("i,ijk->kj", np.asarray(x, dtype=float), self.structure)
@@ -309,15 +319,14 @@ def stabilizer_subalgebra(a: LieAlgebra, constraint, tol: float = DEFAULT_TOL,
     basis = nullspace(system)
     if basis.shape[0] == 0:
         return basis
-    for i in range(basis.shape[0]):
-        for j in range(i + 1, basis.shape[0]):
-            br = a.bracket(basis[i], basis[j])
-            res = br - (br @ basis.T) @ basis
-            if np.abs(res).max() > max(tol, 1e-8):
-                raise LieAlgebraError(
-                    f"{name}: constraint does not cut out a subalgebra "
-                    f"(bracket of members {i},{j} leaves the span)"
-                )
+    brs = a.brackets(basis, basis)
+    leak = np.abs(brs - (brs @ basis.T) @ basis).max(axis=2)
+    if leak.max() > max(tol, 1e-8):
+        i, j = sorted(np.unravel_index(leak.argmax(), leak.shape))
+        raise LieAlgebraError(
+            f"{name}: constraint does not cut out a subalgebra "
+            f"(bracket of members {i},{j} leaves the span)"
+        )
     return basis
 
 
@@ -364,7 +373,7 @@ def ideal_generated_by(a: LieAlgebra, v, tol: float = 1e-8) -> np.ndarray:
     span = np.asarray(v, dtype=float).reshape(1, -1)
     span = span / np.linalg.norm(span)
     while True:
-        brs = np.einsum("ijk,aj->iak", a.structure, span).reshape(-1, a.dim)
+        brs = a.brackets(np.eye(a.dim), span).reshape(-1, a.dim)
         stacked = np.vstack([span, brs])
         u, s, vt = np.linalg.svd(stacked)
         rank = int((s > s[0] * tol).sum())

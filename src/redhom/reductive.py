@@ -2,8 +2,9 @@
 
 A ReductiveSpace stores an algebra together with an orthonormalized
 subalgebra basis and complement basis; the complement may carry an
-ordered two-summand split.  Instances are treated as immutable and all
-operations are pure functions.
+ordered two-summand split.  Immutability is enforced: instances are
+frozen, and their bases and cached bracket tables are read-only arrays.
+All operations are pure functions.
 """
 
 from __future__ import annotations
@@ -28,6 +29,15 @@ class ReductiveError(ValueError):
     """Invalid reductive decomposition or isotropy split."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.abs(a).max(initial=0.0))
+
+
 @dataclass
 class MetricSpec:
     """Per-summand positive scales of an invariant metric.
@@ -41,8 +51,8 @@ class MetricSpec:
 
     def __post_init__(self):
         self.scales = tuple(float(s) for s in self.scales)
-        if any(s <= 0 for s in self.scales):
-            raise ReductiveError("metric scales must be positive")
+        if not all(0 < s < np.inf for s in self.scales):
+            raise ReductiveError("metric scales must be positive and finite")
 
     @classmethod
     def killing(cls, nsummands: int = 1) -> "MetricSpec":
@@ -50,7 +60,7 @@ class MetricSpec:
 
     @classmethod
     def g_t(cls, t: float) -> "MetricSpec":
-        if t <= 0:
+        if not t > 0:
             raise ReductiveError("g_t requires t > 0")
         return cls((1.0, 2.0 * t))
 
@@ -64,9 +74,12 @@ class MetricSpec:
         return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReductiveSpace:
-    """Algebra, subalgebra k, ip-orthonormal complement m, optional split."""
+    """Algebra, subalgebra k, ip-orthonormal complement m, optional split.
+
+    Bases and cached bracket tables are read-only copies.
+    """
 
     algebra: LieAlgebra
     ip: InnerProduct
@@ -74,6 +87,11 @@ class ReductiveSpace:
     m_basis: np.ndarray          # (dim m, dim g)
     summands: tuple = ()         # ((start, stop), ...) index ranges into m_basis
     name: str = ""
+
+    def __post_init__(self):
+        for attr in ("k_basis", "m_basis"):
+            basis = _read_only(np.array(getattr(self, attr), dtype=float))
+            object.__setattr__(self, attr, basis)
 
     @property
     def dim_k(self) -> int:
@@ -105,85 +123,57 @@ class ReductiveSpace:
             idx[sl] = s
         return idx
 
-    # -- cached bracket tables (read-only use) -----------------------------
-
-    @cached_property
-    def _gram(self) -> np.ndarray:
-        return self.ip.gram
+    # -- cached bracket tables (read-only arrays) ---------------------------
 
     @cached_property
     def m_bracket_vectors(self) -> np.ndarray:
         """[Z_a, Z_b] as algebra coefficient vectors, shape (M, M, dim g)."""
-        c = self.algebra.structure
-        return np.einsum("ijk,ai,bj->abk", c, self.m_basis, self.m_basis)
+        return _read_only(self.algebra.brackets(self.m_basis, self.m_basis))
 
     @cached_property
     def bm(self) -> np.ndarray:
         """m-part coefficients of [Z_a, Z_b] over the m-basis."""
-        return np.einsum("abk,kl,cl->abc", self.m_bracket_vectors, self._gram, self.m_basis)
+        return _read_only(self.m_bracket_vectors @ (self.ip.gram @ self.m_basis.T))
 
     @cached_property
     def bk(self) -> np.ndarray:
         """k-part coefficients of [Z_a, Z_b] over the k-basis."""
-        if self.dim_k == 0:
-            return np.zeros((self.dim_m, self.dim_m, 0))
-        return np.einsum("abk,kl,cl->abc", self.m_bracket_vectors, self._gram, self.k_basis)
+        return _read_only(self.m_bracket_vectors @ (self.ip.gram @ self.k_basis.T))
 
     @cached_property
     def adk(self) -> np.ndarray:
         """Matrices of ad(k_a) on m: adk[a, c, b] = <[k_a, Z_b], Z_c>."""
-        if self.dim_k == 0:
-            return np.zeros((0, self.dim_m, self.dim_m))
-        c = self.algebra.structure
-        vecs = np.einsum("ijk,ai,bj->abk", c, self.k_basis, self.m_basis)
-        return np.einsum("abk,kl,cl->acb", vecs, self._gram, self.m_basis)
+        vecs = self.algebra.brackets(self.k_basis, self.m_basis)
+        table = (vecs @ (self.ip.gram @ self.m_basis.T)).transpose(0, 2, 1)
+        return _read_only(np.ascontiguousarray(table))
 
     @cached_property
     def k_structure(self) -> np.ndarray:
         """Structure constants of k in its orthonormal basis."""
-        if self.dim_k == 0:
-            return np.zeros((0, 0, 0))
-        c = self.algebra.structure
-        vecs = np.einsum("ijk,ai,bj->abk", c, self.k_basis, self.k_basis)
-        return np.einsum("abk,kl,cl->abc", vecs, self._gram, self.k_basis)
+        vecs = self.algebra.brackets(self.k_basis, self.k_basis)
+        return _read_only(vecs @ (self.ip.gram @ self.k_basis.T))
 
     @cached_property
     def b_form(self) -> np.ndarray:
         """Negative Killing form of g restricted to the m-basis."""
-        return -(self.m_basis @ self.algebra.killing @ self.m_basis.T)
+        return _read_only(-(self.m_basis @ self.algebra.killing @ self.m_basis.T))
 
     def validate(self, tol: float = 1e-8) -> dict:
         """Residuals of the reductive-space invariants."""
-        g = self._gram
-        res = {}
-        res["m_orthonormal"] = float(
-            np.abs(self.m_basis @ g @ self.m_basis.T - np.eye(self.dim_m)).max()
-        ) if self.dim_m else 0.0
-        res["k_m_orthogonal"] = float(
-            np.abs(self.k_basis @ g @ self.m_basis.T).max()
-        ) if self.dim_k and self.dim_m else 0.0
-        if self.dim_k:
-            c = self.algebra.structure
-            kk = np.einsum("ijk,ai,bj->abk", c, self.k_basis, self.k_basis)
-            proj = np.einsum("abk,kl,cl->abc", kk, g, self.k_basis)
-            recon = np.einsum("abc,ck->abk", proj, self.k_basis)
-            res["k_closed"] = float(np.abs(kk - recon).max())
-        else:
-            res["k_closed"] = 0.0
-        if self.dim_k and self.dim_m:
-            c = self.algebra.structure
-            km = np.einsum("ijk,ai,bj->abk", c, self.k_basis, self.m_basis)
-            kpart = np.einsum("abk,kl,cl->abc", km, g, self.k_basis)
-            res["k_m_in_m"] = float(np.abs(kpart).max())
-        else:
-            res["k_m_in_m"] = 0.0
-        # [Z_a, Z_b] must decompose exactly into k- and m-parts
-        recon = np.einsum("abc,ck->abk", self.bm, self.m_basis)
-        if self.dim_k:
-            recon = recon + np.einsum("abc,ck->abk", self.bk, self.k_basis)
-        res["m_bracket_split"] = float(
-            np.abs(self.m_bracket_vectors - recon).max()
-        ) if self.dim_m else 0.0
+        g = self.ip.gram
+        k, m = self.k_basis, self.m_basis
+        kk = self.algebra.brackets(k, k)
+        km = self.algebra.brackets(k, m)
+        res = {
+            "m_orthonormal": _max_abs(m @ g @ m.T - np.eye(self.dim_m)),
+            "k_m_orthogonal": _max_abs(k @ g @ m.T),
+            # [k, k] and [k, m] must be rebuilt by their k- and m-parts
+            "k_closed": _max_abs(kk - self.k_structure @ k),
+            "k_m_in_m": _max_abs(km - self.adk.transpose(0, 2, 1) @ m),
+            # [Z_a, Z_b] must decompose exactly into k- and m-parts
+            "m_bracket_split": _max_abs(
+                self.m_bracket_vectors - self.bm @ m - self.bk @ k),
+        }
         res["ok"] = bool(max(res.values()) < tol)
         return res
 
@@ -260,10 +250,6 @@ def casimir(space: ReductiveSpace, q_k: np.ndarray | None = None) -> CasimirData
     the default is the restriction of the space inner product, i.e. the
     identity.  Constants are mean diagonal entries per summand.
     """
-    m = space.dim_m
-    if space.dim_k == 0:
-        op = np.zeros((m, m))
-        return CasimirData(op, tuple(0.0 for _ in range(space.nsummands)), 0.0, op.copy())
     if q_k is None:
         qinv = np.eye(space.dim_k)
     else:
@@ -271,7 +257,9 @@ def casimir(space: ReductiveSpace, q_k: np.ndarray | None = None) -> CasimirData
         if np.abs(np.linalg.det(q_k)) < 1e-14:
             raise ReductiveError("q_k is degenerate on k")
         qinv = np.linalg.inv(q_k)
-    op = -np.einsum("ab,aij,bjk->ik", qinv, space.adk, space.adk)
+    adk = space.adk
+    # -qinv rather than a negated product: an empty k gives +0.0, not -0.0
+    op = np.tensordot(adk, np.tensordot(-qinv, adk, (1, 0)), ((0, 2), (0, 1)))
     constants = []
     deviation = 0.0
     for sl in space.summand_slices():
@@ -317,23 +305,16 @@ def _inclusion_residuals(space: ReductiveSpace) -> dict:
     if len(space.summands) != 2:
         raise ReductiveError("inclusion check requires exactly two summands")
     s1, s2 = space.summand_slices()
-    bm, bk = space.bm, space.bk
-    adk = space.adk
+    bm, bk, adk = space.bm, space.bk, space.adk
     res = {}
     # [k, m_i] in m_i
-    leak = 0.0
-    if space.dim_k:
-        leak = max(np.abs(adk[:, s2, s1]).max(initial=0.0),
-                   np.abs(adk[:, s1, s2]).max(initial=0.0))
-    res["k_mi_in_mi"] = float(leak)
+    res["k_mi_in_mi"] = max(_max_abs(adk[:, s2, s1]), _max_abs(adk[:, s1, s2]))
     # [m1, m1] in k + m2
-    res["m1_m1_in_k_m2"] = float(np.abs(bm[s1, s1, s1]).max(initial=0.0))
+    res["m1_m1_in_k_m2"] = _max_abs(bm[s1, s1, s1])
     # [m1, m2] in m1
-    leak = max(np.abs(bm[s1, s2, :][:, :, s2]).max(initial=0.0),
-               np.abs(bk[s1, s2, :]).max(initial=0.0) if space.dim_k else 0.0)
-    res["m1_m2_in_m1"] = float(leak)
+    res["m1_m2_in_m1"] = max(_max_abs(bm[s1, s2, s2]), _max_abs(bk[s1, s2, :]))
     # [m2, m2] in k
-    res["m2_m2_in_k"] = float(np.abs(bm[s2, s2, :]).max(initial=0.0))
+    res["m2_m2_in_k"] = _max_abs(bm[s2, s2, :])
     return res
 
 
@@ -371,14 +352,11 @@ def split_isotropy(space: ReductiveSpace, gap: float = 1e-6,
         blocks = refined
     # verify each block is ad(k)-stable
     for blk in blocks:
-        comp = nullspace(blk)
-        if comp.shape[0] and space.dim_k:
-            leak = np.abs(np.einsum("aij,bj,ci->abc", space.adk, blk, comp)).max()
-            if leak > max(tol, 1e-7):
-                raise ReductiveError(
-                    "isotropy spectra do not separate ad(k)-stable summands; "
-                    "supply the split explicitly"
-                )
+        if _max_abs(nullspace(blk) @ space.adk @ blk.T) > max(tol, 1e-7):
+            raise ReductiveError(
+                "isotropy spectra do not separate ad(k)-stable summands; "
+                "supply the split explicitly"
+            )
     blocks.sort(key=lambda b: -b.shape[0])
     if len(blocks) == 2:
         blocks = _order_two_summands(space, blocks, tol)
@@ -424,15 +402,11 @@ def verify_use1(space: ReductiveSpace, q_k: np.ndarray | None = None) -> dict:
     m-basis pairs.
     """
     cas = casimir(space, q_k=q_k)
-    if space.dim_k:
-        q = np.eye(space.dim_k) if q_k is None else np.asarray(q_k, dtype=float)
-        a_sum = np.einsum("ajc,bjd,cd->ab", space.bk, space.bk, q)
-    else:
-        a_sum = np.zeros((space.dim_m, space.dim_m))
-    res_a = float(np.abs(cas.a_gram - a_sum).max()) if space.dim_m else 0.0
-    m_sum = np.einsum("aic,bic->ab", space.bm, space.bm)
-    res_b = float(np.abs(space.b_form - m_sum - 2.0 * cas.a_gram).max()) if space.dim_m else 0.0
-    return {"a_identity": res_a, "b_identity": res_b}
+    q = np.eye(space.dim_k) if q_k is None else np.asarray(q_k, dtype=float)
+    a_sum = np.tensordot(space.bk @ q, space.bk, ((1, 2), (1, 2)))
+    m_sum = np.tensordot(space.bm, space.bm, ((1, 2), (1, 2)))
+    return {"a_identity": _max_abs(cas.a_gram - a_sum),
+            "b_identity": _max_abs(space.b_form - m_sum - 2.0 * cas.a_gram)}
 
 
 def frame_sigma(space: ReductiveSpace, metric: MetricSpec) -> np.ndarray:
@@ -447,6 +421,13 @@ def frame_sigma(space: ReductiveSpace, metric: MetricSpec) -> np.ndarray:
     return sigma
 
 
+def frame_rescale(table: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """table[a, b, c] * r[c] / (r[a] r[b]): a bracket-type table moved to
+    the frame whose vectors are the old ones divided by r."""
+    inv = 1.0 / r
+    return table * inv[:, None, None] * inv[None, :, None] * r
+
+
 def frame_tables(space: ReductiveSpace, metric: MetricSpec):
     """Bracket tables in the metric-orthonormal frame E_a = Z_a / sigma_a.
 
@@ -456,7 +437,7 @@ def frame_tables(space: ReductiveSpace, metric: MetricSpec):
     """
     sigma = frame_sigma(space, metric)
     inv = 1.0 / sigma
-    bm_f = np.einsum("abc,a,b,c->abc", space.bm, inv, inv, sigma)
-    bk_f = np.einsum("abc,a,b->abc", space.bk, inv, inv)
-    adk_f = np.einsum("wcb,c,b->wcb", space.adk, sigma, inv)
+    bm_f = frame_rescale(space.bm, sigma)
+    bk_f = space.bk * np.outer(inv, inv)[:, :, None]
+    adk_f = space.adk * np.outer(sigma, inv)
     return bm_f, bk_f, adk_f, sigma

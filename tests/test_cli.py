@@ -135,3 +135,26 @@ def test_normalization_override(capsys):
     data = json.loads(out)
     roots = data["result"]["roots"]
     assert abs(roots[0] - 0.5) < 1e-9 and abs(roots[1] - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ("tensor", "ricci", "--space", "cp3", "--s", "1", "--t", "nan"),
+    ("tensor", "ricci", "--space", "cp3", "--s", "1", "--t", "inf"),
+    ("tensor", "ricci", "--space", "cp3", "--s", "1", "--t", "-1"),
+    ("tensor", "ricci", "--space", "cp3", "--s", "1", "--t", "0"),
+    ("tensor", "ricci", "--space", "cp3", "--s", "nan", "--t", "0.5"),
+    ("tensor", "torsion", "--space", "cp3", "--s", "-inf"),
+    ("tensor", "ricci", "--space", "sphere-s7", "--alpha", "nan"),
+    ("tensor", "ricci", "--space", "sphere-s7", "--alpha", "inf"),
+    ("--tol", "nan", "check", "--space", "cp3"),
+    ("--tol", "inf", "check", "--space", "cp3"),
+    ("--tol", "0", "check", "--space", "cp3"),
+    ("--tol", "-1e-9", "check", "--space", "cp3"),
+])
+def test_bad_numeric_parameters_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert "Traceback" not in out.err and "error: argument" in out.err

@@ -110,6 +110,17 @@ def test_bracket_dimension_mismatch():
         so5.bracket(np.ones(3), np.ones(10))
 
 
+def test_brackets_table_matches_pairwise_bracket(rng):
+    su3 = build_su(3)
+    a = rng.standard_normal((3, su3.dim))
+    b = rng.standard_normal((4, su3.dim))
+    table = su3.brackets(a, b)
+    assert table.shape == (3, 4, su3.dim)
+    for i in range(3):
+        for j in range(4):
+            assert np.abs(table[i, j] - su3.bracket(a[i], b[j])).max() < 1e-12
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-5, 5), min_size=10, max_size=10))
 def test_bracket_antisymmetry_random(coeffs):

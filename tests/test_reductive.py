@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from redhom import liealg, reductive
+from redhom import catalog, liealg, reductive
 from redhom.liealg import build_so, build_su, negative_killing
 from redhom.reductive import (
     MetricSpec,
@@ -144,6 +146,10 @@ def test_metric_spec():
         MetricSpec.g_t(0.0)
     with pytest.raises(ReductiveError):
         MetricSpec((1.0, -1.0))
+    with pytest.raises(ReductiveError):
+        MetricSpec((1.0, float("nan")))
+    with pytest.raises(ReductiveError):
+        MetricSpec.g_t(float("nan"))
 
 
 def test_frame_tables_scaling(cp3):
@@ -164,3 +170,16 @@ def test_lie_group_space_m_is_whole_algebra():
     sp = lie_group_space(su3, ip=negative_killing(su3))
     assert sp.dim_k == 0 and sp.dim_m == 8
     assert np.abs(sp.m_basis @ sp.ip.gram @ sp.m_basis.T - np.eye(8)).max() < 1e-10
+
+
+def test_cached_space_is_read_only():
+    space = catalog.build_space("cp3")
+    tables = (space.k_basis, space.m_basis, space.m_bracket_vectors, space.bm,
+              space.bk, space.adk, space.k_structure, space.b_form)
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] += 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        space.m_basis = space.m_basis.copy()
+    assert catalog.build_space("cp3") is space
+    assert space.validate()["ok"]
