@@ -564,7 +564,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (catalog.CatalogError, KeyError) as exc:
+    except (catalog.CatalogError, KeyError, equivariant.SolveTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_REQUEST
     except (reductive.ReductiveError, liealg.LieAlgebraError,

@@ -104,10 +104,26 @@ def curvature(nm: NomizuMap) -> Tensor31:
     return Tensor31(rmat.transpose(0, 1, 3, 2), nm.metric, label=nm.label)
 
 
+def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<A,B>[x,y] = sum_{i,j} A[x,i,j] B[j,y,i]."""
+    return np.tensordot(a, b, ([1, 2], [2, 0]))
+
+
 def ricci_oracle(nm: NomizuMap) -> Tensor2:
-    """Ricci by tracing the curvature over the metric-orthonormal frame."""
-    r = curvature(nm).components
-    ric = np.einsum("xiiy->xy", r)
+    """Ricci by tracing the curvature over the metric-orthonormal frame.
+
+    Ric(X,Y) = sum_i R(X,E_i)E_i . Y for the curvature of ``curvature``,
+    R(X,Y) = [Lambda(X),Lambda(Y)] - Lambda([X,Y]_m) - ad([X,Y]_k), with
+    the trace index contracted before any m^4 tensor is formed:
+    Ric = Lambda.u - <Lambda,Lambda> - <bm_f,Lambda> - <bk_f,adk_f>, where
+    u_j = sum_i Lambda[i,j,i] and <A,B>[x,y] = sum_{i,j} A[x,i,j] B[j,y,i].
+    """
+    bm_f, bk_f, adk_f, _ = frame_tables(nm.space, nm.metric)
+    lam = lambda_matrices(nm)
+    u = np.einsum("iji->j", lam)
+    ric = lam @ u - _pair(lam, lam) - _pair(bm_f, lam)
+    if nm.space.dim_k:
+        ric = ric - _pair(bk_f, adk_f)
     return Tensor2(ric, nm.metric, role="ricci", scalar=float(np.trace(ric)),
                    label=nm.label)
 
@@ -128,9 +144,18 @@ def nabla_torsion(nm: NomizuMap) -> np.ndarray:
 
 
 def codifferential(nm: NomizuMap) -> Tensor2:
-    """Co-differential of the torsion: (delta T)(X,Y) = -sum_i (nabla_{E_i}T)(E_i,X,Y)."""
-    nt = nabla_torsion(nm)
-    dt = -np.einsum("iixy->xy", nt)
+    """Co-differential of the torsion: (delta T)(X,Y) = -sum_i (nabla_{E_i}T)(E_i,X,Y).
+
+    The trace of ``nabla_torsion`` is contracted before any m^4 tensor is
+    formed: delta T = <v,T> + <L,T> - <T,L> with L = ``nm.coeffs``,
+    v_c = sum_i L[i,i,c], <v,T>[x,y] = sum_c v_c T[c,x,y] and
+    <A,B>[x,y] = sum_{i,c} A[i,x,c] B[i,c,y].
+    """
+    t3 = torsion(nm).components
+    L = nm.coeffs
+    v = np.einsum("iic->c", L)
+    dt = (np.tensordot(v, t3, 1) + np.tensordot(L, t3, ([0, 2], [0, 1]))
+          - np.tensordot(t3, L, ([0, 2], [0, 1])))
     return Tensor2(dt, nm.metric, role="codifferential", label=nm.label)
 
 

@@ -17,8 +17,16 @@ from scipy.linalg import expm
 from .reductive import MetricSpec, ReductiveSpace, frame_tables
 
 
+# Largest dense equivariance solve hom_dimension will attempt, in bytes.
+SOLVE_BUDGET_BYTES = 1 << 30
+
+
 class RankAmbiguityError(RuntimeError):
     """Singular values do not separate cleanly into kept and discarded."""
+
+
+class SolveTooLargeError(RuntimeError):
+    """The dense equivariance solve would exceed ``SOLVE_BUDGET_BYTES``."""
 
 
 @dataclass
@@ -51,6 +59,16 @@ def _equivariance_operator(space: ReductiveSpace) -> np.ndarray:
     return np.vstack(blocks)
 
 
+def solve_bytes(space: ReductiveSpace) -> int:
+    """Bytes of the dense R x n^3 system plus the R x R factor its SVD returns.
+
+    R = dim k * n^3 is the number of rows, n = dim m.
+    """
+    cube = space.dim_m ** 3
+    rows = space.dim_k * cube
+    return 8 * rows * (rows + cube)
+
+
 def _subspace_rank(vectors: np.ndarray, rtol: float = 1e-9) -> int:
     if vectors.size == 0:
         return 0
@@ -66,9 +84,16 @@ def hom_dimension(space: ReductiveSpace, rank_rtol: float = 1e-7,
 
     The system is dense: (dim k * n^2) vector equations in n^3 unknowns.
     Raises RankAmbiguityError when the singular-value gap at the rank
-    threshold is below ``min_gap``.
+    threshold is below ``min_gap``, and SolveTooLargeError, before
+    building anything, when ``solve_bytes`` exceeds ``SOLVE_BUDGET_BYTES``.
     """
     n = space.dim_m
+    need = solve_bytes(space)
+    if need > SOLVE_BUDGET_BYTES:
+        raise SolveTooLargeError(
+            f"the dense equivariance solve on {space.name} needs "
+            f"{need / 2**30:.3g} GiB, over the {SOLVE_BUDGET_BYTES / 2**30:g} GiB budget"
+        )
     system = _equivariance_operator(space)
     if system.shape[0] == 0:
         basis = np.eye(n**3).reshape(-1, n, n, n)

@@ -32,6 +32,11 @@ class LieAlgebraError(ValueError):
     """Construction or closure failure for a Lie algebra."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def nullspace(a, rtol: float = 1e-10):
     """Orthonormal basis (rows) of the right null space of ``a``."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -42,19 +47,26 @@ def nullspace(a, rtol: float = 1e-10):
     return vt[rank:]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LieAlgebra:
     """A finite-dimensional Lie algebra of real square matrices.
 
     ``basis`` has shape (dim, N, N); ``structure[i, j, k]`` are the
     coefficients of [Z_i, Z_j] in the basis; ``killing[i, j]`` is
-    tr(ad Z_i ad Z_j).  Treat instances as immutable.
+    tr(ad Z_i ad Z_j).  Instances are immutable: the dataclass is frozen
+    and the arrays are read-only copies, so a write raises ``ValueError``
+    instead of corrupting a cached algebra.
     """
 
     name: str
     basis: np.ndarray
     structure: np.ndarray
     killing: np.ndarray
+
+    def __post_init__(self):
+        for attr in ("basis", "structure", "killing"):
+            array = _read_only(np.array(getattr(self, attr), dtype=float))
+            object.__setattr__(self, attr, array)
 
     @property
     def dim(self) -> int:
@@ -386,15 +398,18 @@ def ideal_generated_by(a: LieAlgebra, v, tol: float = 1e-8) -> np.ndarray:
 # inner products
 
 
-@dataclass
+@dataclass(frozen=True)
 class InnerProduct:
-    """Symmetric positive-definite bilinear form over an algebra basis."""
+    """Symmetric positive-definite bilinear form over an algebra basis.
+
+    Immutable: the dataclass is frozen and ``gram`` is a read-only copy.
+    """
 
     gram: np.ndarray
     provenance: str = "custom-diagonal"
 
     def __post_init__(self):
-        self.gram = np.asarray(self.gram, dtype=float)
+        object.__setattr__(self, "gram", _read_only(np.array(self.gram, dtype=float)))
         if np.abs(self.gram - self.gram.T).max() > 1e-10:
             raise LieAlgebraError("inner product gram matrix is not symmetric")
         if self.gram.size and np.linalg.eigvalsh(self.gram).min() <= 1e-12:

@@ -19,6 +19,7 @@ from .liealg import (
     InnerProduct,
     LieAlgebra,
     LieAlgebraError,
+    _read_only,
     gram_schmidt,
     negative_killing,
     nullspace,
@@ -27,11 +28,6 @@ from .liealg import (
 
 class ReductiveError(ValueError):
     """Invalid reductive decomposition or isotropy split."""
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _max_abs(a: np.ndarray) -> float:

@@ -209,8 +209,8 @@ def test_criterion_11_derivation_certificates(su2_group, su3_group):
     strict=True,
     reason="the trace-pair map sends everything to the centre and kills "
            "commutators, so its Leibniz defect vanishes identically; the "
-           "stated clause contradicts that computation (see the decisions "
-           "ledger)",
+           "stated clause contradicts that computation (see README, "
+           "Decisions)",
 )
 def test_criterion_11_eta3_derivation_clause():
     maps = exotic_un_maps(2)

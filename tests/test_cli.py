@@ -95,6 +95,13 @@ def test_invalid_flag_params_exit_code(capsys):
     assert code == 2
 
 
+def test_oversized_homdim_exits_2(capsys):
+    code, out, err = run_cli(capsys, "homdim", "--space", "flag-B(3,2)")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "GiB" in err and "Traceback" not in err
+
+
 def test_einstein_on_irreducible_space_is_rejected(capsys):
     code, _, err = run_cli(capsys, "einstein", "riemannian", "--space", "sphere-s7")
     assert code == 2

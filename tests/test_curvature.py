@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from redhom.connections import nomizu_alpha, nomizu_levi_civita_gt, nomizu_st
+from redhom.connections import (
+    NomizuMap,
+    nomizu_alpha,
+    nomizu_levi_civita_gt,
+    nomizu_st,
+)
 from redhom.curvature import (
     codifferential,
     curvature,
@@ -88,8 +93,6 @@ def test_ricci_oracle_s4_canonical(sphere_s4):
 
 
 def test_ricci_oracle_runs_on_arbitrary_map(cp3, rng):
-    from redhom.connections import NomizuMap
-
     coeffs = rng.standard_normal((6, 6, 6))
     nm = NomizuMap(cp3, MetricSpec.killing(2), coeffs, "random")
     ric = ricci_oracle(nm)
@@ -305,3 +308,44 @@ def test_antisymmetric_ricci_part_is_codifferential(cp3):
         anti = 0.5 * (ric - ric.T)
         dt = codifferential(nm).components
         assert np.abs(anti + 0.5 * dt).max() < 1e-8
+
+
+def _random_map(space, seed):
+    """A Nomizu map that is neither metric nor STC (Lambda(X)X != 0)."""
+    metric = (MetricSpec.g_t(0.7) if space.nsummands == 2
+              else MetricSpec.killing(space.nsummands))
+    m = space.dim_m
+    coeffs = np.random.default_rng(seed).standard_normal((m, m, m))
+    return NomizuMap(space, metric, coeffs, "random")
+
+
+@pytest.mark.parametrize("fixture", ["cp3", "sphere_s7", "berger", "su3_group",
+                                     "flag_c53"])
+def test_fused_traces_match_full_tensors(fixture, request):
+    space = request.getfixturevalue(fixture)
+    for seed in (0, 1):
+        nm = _random_map(space, seed)
+        pairs = (
+            (ricci_oracle(nm).components,
+             np.einsum("xiiy->xy", curvature(nm).components)),
+            (codifferential(nm).components,
+             -np.einsum("iixy->xy", nabla_torsion(nm))),
+        )
+        for got, ref in pairs:
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_fused_traces_never_form_an_m4_tensor(flag_c53):
+    import tracemalloc
+
+    nm = _random_map(flag_c53, 0)
+    one_m4_tensor = 8 * flag_c53.dim_m ** 4
+    for fn in (ricci_oracle, codifferential):
+        fn(nm)  # fill the space's lazily cached tables outside the trace
+        tracemalloc.start()
+        try:
+            fn(nm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < one_m4_tensor, (fn.__name__, peak)

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from redhom import catalog
 from redhom.equivariant import (
+    SOLVE_BUDGET_BYTES,
     RankAmbiguityError,
+    SolveTooLargeError,
     certify_bracket_span,
     group_spot_check,
     hom_dimension,
+    solve_bytes,
 )
 
 
@@ -67,3 +71,11 @@ def test_group_level_spot_check(sphere_s6, sphere_s7):
 def test_lie_group_case_returns_everything(su2_group):
     res = hom_dimension(su2_group)
     assert res.dimension == 27
+
+
+def test_oversized_solve_is_refused_before_building(sphere_s7):
+    assert solve_bytes(sphere_s7) == 8 * 4802 * (4802 + 343) < SOLVE_BUDGET_BYTES
+    # 3.1 GiB of dense system and SVD factor: refused from its size alone
+    space = catalog.build_space("flag-B(3,2)")
+    with pytest.raises(SolveTooLargeError, match="flag-B"):
+        hom_dimension(space)

@@ -218,6 +218,24 @@ def test_inner_product_requires_positive_definite():
     assert np.linalg.eigvalsh(ip.gram).min() > 0
 
 
+def test_cached_algebra_and_inner_product_are_read_only():
+    import dataclasses
+
+    from redhom import catalog
+
+    so5 = build_so(5)
+    ip = negative_killing(so5)
+    for array in (so5.basis, so5.structure, so5.killing, ip.gram):
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] += 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        so5.structure = so5.structure.copy()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ip.gram = ip.gram.copy()
+    assert build_so(5) is so5 and so5.validate()["ok"]
+    assert catalog.build_space("cp3").validate()["ok"]
+
+
 def test_direct_sum_block_structure():
     ss = direct_sum(build_su(2), build_su(2))
     assert ss.dim == 6
