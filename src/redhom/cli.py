@@ -567,9 +567,15 @@ def main(argv=None) -> int:
     except (catalog.CatalogError, KeyError, equivariant.SolveTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_REQUEST
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return EXIT_BAD_REQUEST
     except (reductive.ReductiveError, liealg.LieAlgebraError,
             connections.ConnectionError_, equivariant.RankAmbiguityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except np.linalg.LinAlgError as exc:
+        print(f"error: linear algebra failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
 

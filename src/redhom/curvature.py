@@ -217,9 +217,6 @@ def ricci_st_closed(space: ReductiveSpace, s: float, t: float,
         raise ReductiveError("the closed form needs exactly two summands")
     metric = MetricSpec.g_t(t)
     s1, s2 = space.summand_slices()
-    idx = space.summand_index()
-    m1_mask = (idx == 0).astype(float)
-    m2_mask = (idx == 1).astype(float)
     cas = casimir(space, q_k=q_k)
     bm = space.bm
     m = space.dim_m
@@ -230,12 +227,12 @@ def ricci_st_closed(space: ReductiveSpace, s: float, t: float,
     k3 = s * s * t - s * s * t * t - s * t
 
     # block m1: sum_i <[[X, X_i]_{m2}, X_i], Y> and sum_k <[[X, Y_k], Y_k], Y>
-    w1 = np.einsum("xic,c,ciy->xy", bm[s1, s1, :], m2_mask, bm[:, s1, :][:, :, s1])
-    w2 = np.einsum("xkc,cky->xy", bm[s1, s2, :], bm[:, s2, :][:, :, s1])
+    w1 = np.tensordot(bm[s1, s1, s2], bm[s2, s1, s1], ([1, 2], [1, 0]))
+    w2 = np.tensordot(bm[s1, s2, :], bm[:, s2, s1], ([1, 2], [1, 0]))
     ric[s1, s1] = k1 * w1 + k2 * w2 + cas.a_gram[s1, s1]
 
     # block m2: sum_i <[[X, X_i], X_i]_{m2}, Y>
-    w3 = np.einsum("xic,c,ciy->xy", bm[s2, s1, :], m1_mask, bm[:, s1, :][:, :, s2])
+    w3 = np.tensordot(bm[s2, s1, s1], bm[s1, s1, s2], ([1, 2], [1, 0]))
     ric[s2, s2] = k3 * w3 + cas.a_gram[s2, s2]
 
     sigma = frame_sigma(space, metric)

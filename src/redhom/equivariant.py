@@ -2,19 +2,20 @@
 
 Solves the infinitesimal equivariance system for bilinear maps
 eta: m x m -> m under the isotropy action; the null space dimension is
-the number of independent invariant connections.  Rank decisions use
-singular values with an explicit gap requirement, since the integer
-answers are the whole point.
+the number of independent invariant connections.  The system is never
+stacked: its Gram matrix is assembled slot by slot and diagonalized, and
+the certificates apply it by contractions.  Rank decisions use an
+explicit gap requirement, since the integer answers are the whole point.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .reductive import MetricSpec, ReductiveSpace, frame_tables
+from .reductive import ReductiveError, ReductiveSpace
 
 
 # Largest dense equivariance solve hom_dimension will attempt, in bytes.
@@ -42,7 +43,7 @@ class EquivariantSolveResult:
 
 
 def _equivariance_operator(space: ReductiveSpace) -> np.ndarray:
-    """Stacked linear system rows for all isotropy generators."""
+    """Stacked Kronecker system rows for all isotropy generators (test oracle)."""
     n = space.dim_m
     eye = np.eye(n)
     blocks = []
@@ -59,14 +60,59 @@ def _equivariance_operator(space: ReductiveSpace) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def solve_bytes(space: ReductiveSpace) -> int:
-    """Bytes of the dense R x n^3 system plus the R x R factor its SVD returns.
+def _slot_actions(space: ReductiveSpace) -> tuple:
+    """The parts L_0, L_1, L_2 of A_a = sum_s L_s[a] acting on slot s of eta[x, y, z].
 
-    R = dim k * n^3 is the number of rows, n = dim m.
+    The two input slots carry -ad_a^T and the output slot carries ad_a.
+    """
+    adt = -space.adk.transpose(0, 2, 1)
+    return adt, adt, space.adk
+
+
+def _apply_equivariance(space: ReductiveSpace, eta: np.ndarray) -> np.ndarray:
+    """A_a eta for every isotropy generator, shape (dim k, n, n, n), by three contractions."""
+    l0, l1, l2 = _slot_actions(space)
+    return (np.tensordot(l0, eta, (2, 0))
+            + np.tensordot(l1, eta, (2, 1)).transpose(0, 2, 1, 3)
+            + np.tensordot(l2, eta, (2, 2)).transpose(0, 2, 3, 1))
+
+
+def _gram(space: ReductiveSpace) -> np.ndarray:
+    """G = sum_a A_a^T A_a as an (n^3, n^3) matrix, without the stacked system.
+
+    G = sum over slot pairs (s, t) of sum_a L_s[a]^T on slot s times L_t[a]
+    on slot t, the identity on the other slots.  Each term is an n x n or
+    n^2 x n^2 matrix added into a writeable einsum view of G, diagonal in
+    the slots the term leaves alone: O(dim k n^4 + n^6) work and no array
+    of G's size besides G.
+    """
+    n = space.dim_m
+    out, inn = "abc", "def"
+    gram = np.zeros((n,) * 6)
+    actions = _slot_actions(space)
+    for s, t in itertools.product(range(3), repeat=2):
+        rest = "".join(out[r] for r in range(3) if r not in (s, t))
+        cols = "".join(out[r] if out[r] in rest else inn[r] for r in range(3))
+        if s == t:
+            term = np.einsum("kji,kjl->il", actions[s], actions[s])
+            axes = out[s] + inn[s]
+        else:
+            term = np.einsum("kji,klm->ijlm", actions[s], actions[t])
+            axes = out[s] + inn[s] + out[t] + inn[t]
+        view = np.einsum(f"{out}{cols}->{axes}{rest}", gram)
+        view += term.reshape(term.shape + (1,) * len(rest))
+    return gram.reshape(n**3, n**3)
+
+
+def solve_bytes(space: ReductiveSpace) -> int:
+    """Peak bytes of the Gram solve, n = dim m, N = n^3.
+
+    Five N x N float64 arrays: G, and inside ``np.linalg.eigh`` LAPACK's
+    copy of G, the two N x N of divide-and-conquer workspace and the
+    eigenvectors.  With dim k = 0 the answer is the N x N identity.
     """
     cube = space.dim_m ** 3
-    rows = space.dim_k * cube
-    return 8 * rows * (rows + cube)
+    return 8 * cube * cube * (5 if space.dim_k else 1)
 
 
 def _subspace_rank(vectors: np.ndarray, rtol: float = 1e-9) -> int:
@@ -82,10 +128,22 @@ def hom_dimension(space: ReductiveSpace, rank_rtol: float = 1e-7,
                   min_gap: float = 1e3) -> EquivariantSolveResult:
     """Solve for all isotropy-equivariant bilinear maps m x m -> m.
 
-    The system is dense: (dim k * n^2) vector equations in n^3 unknowns.
-    Raises RankAmbiguityError when the singular-value gap at the rank
-    threshold is below ``min_gap``, and SolveTooLargeError, before
-    building anything, when ``solve_bytes`` exceeds ``SOLVE_BUDGET_BYTES``.
+    The system A_a eta = 0 has dim k * n^3 equations in n^3 unknowns.  Its
+    Gram matrix G = sum_a A_a^T A_a is diagonalized with ``eigh``; the
+    singular values of the system are sqrt(max(lambda, 0)) and the null
+    space is spanned by the eigenvectors of the discarded eigenvalues.
+
+    The rank cut lambda > lambda_max * rank_rtol is made in the squared
+    scale, where rounding leaves the zero eigenvalues near eps * lambda_max
+    (their square roots near 1e-8 * sigma_max).  The cut is safe because
+    ad_a is skew in the orthonormal m-frame, so G = -sum_a A_a^2 is the
+    Casimir operator of k on m* (x) m* (x) m: it vanishes on the invariants
+    and on each nontrivial isotypic component equals a positive Casimir
+    constant, so the kept eigenvalues are bounded away from zero.  The gap
+    is the smallest kept singular value over the square root of the largest
+    discarded |lambda|; RankAmbiguityError is raised when it is below
+    ``min_gap``.  SolveTooLargeError is raised, before anything is built,
+    when ``solve_bytes`` exceeds ``SOLVE_BUDGET_BYTES``.
     """
     n = space.dim_m
     need = solve_bytes(space)
@@ -94,27 +152,24 @@ def hom_dimension(space: ReductiveSpace, rank_rtol: float = 1e-7,
             f"the dense equivariance solve on {space.name} needs "
             f"{need / 2**30:.3g} GiB, over the {SOLVE_BUDGET_BYTES / 2**30:g} GiB budget"
         )
-    system = _equivariance_operator(space)
-    if system.shape[0] == 0:
+    if space.dim_k == 0:
         basis = np.eye(n**3).reshape(-1, n, n, n)
         return EquivariantSolveResult(n**3, basis, n * n * (n - 1) // 2,
                                       n * n * (n + 1) // 2, np.zeros(0), np.inf)
-    u, s, vt = np.linalg.svd(system)
-    cutoff = s[0] * rank_rtol
-    kept = s > cutoff
-    rank = int(kept.sum())
-    discarded = s[rank:]
-    if rank < s.size and discarded.max() > 0:
-        gap = float(s[rank - 1] / discarded.max()) if rank else np.inf
+    lam, vecs = np.linalg.eigh(_gram(space))
+    s = np.sqrt(np.clip(lam[::-1], 0.0, None))
+    rank = int((lam > lam[-1] * rank_rtol).sum())
+    dimension = lam.size - rank
+    noise = np.sqrt(np.abs(lam[:dimension]).max()) if dimension else 0.0
+    if rank and noise > 0:
+        gap = float(s[rank - 1] / noise)
         if gap < min_gap:
             raise RankAmbiguityError(
                 f"indeterminate rank: singular-value gap {gap:.1e} < {min_gap:.0e}"
             )
     else:
         gap = np.inf
-    null = vt[rank:]
-    dimension = null.shape[0]
-    basis = null.reshape(dimension, n, n, n)
+    basis = np.ascontiguousarray(vecs[:, :dimension].T).reshape(dimension, n, n, n)
     if dimension:
         sym = (basis + basis.transpose(0, 2, 1, 3)).reshape(dimension, -1) / 2.0
         skew = (basis - basis.transpose(0, 2, 1, 3)).reshape(dimension, -1) / 2.0
@@ -132,10 +187,9 @@ def hom_dimension(space: ReductiveSpace, rank_rtol: float = 1e-7,
 def certify_bracket_span(result: EquivariantSolveResult, space: ReductiveSpace,
                          tol: float = 1e-9) -> dict:
     """Check the m-bracket map solves the system and lies in the solution span."""
-    system = _equivariance_operator(space)
     bracket = space.bm.reshape(-1)
-    if system.shape[0]:
-        sys_res = float(np.abs(system @ bracket).max())
+    if space.dim_k:
+        sys_res = float(np.abs(_apply_equivariance(space, space.bm)).max())
     else:
         sys_res = 0.0
     scale = max(1.0, float(np.abs(bracket).max()))
@@ -152,21 +206,36 @@ def certify_bracket_span(result: EquivariantSolveResult, space: ReductiveSpace,
     }
 
 
+def _expm_skew(a: np.ndarray) -> np.ndarray:
+    """exp(a) for a real skew a: i a = V diag(mu) V^H, so exp(a) = V diag(e^{-i mu}) V^H."""
+    mu, v = np.linalg.eigh(1j * a)
+    return ((v * np.exp(-1j * mu)) @ v.conj().T).real
+
+
 def group_spot_check(result: EquivariantSolveResult, space: ReductiveSpace,
                      samples: int = 10, seed: int = 0) -> float:
     """Max equivariance defect under exponentiated isotropy elements.
 
     Connected isotropy makes the infinitesimal solve sufficient; this
-    randomized check guards the implementation itself.
+    randomized check guards the implementation itself.  The isotropy
+    action must be skew in the orthonormal m-frame (ReductiveError if it
+    is not), which lets the exponential come from a Hermitian ``eigh``.
     """
     if space.dim_k == 0 or result.dimension == 0:
         return 0.0
+    adk = space.adk
+    skew_defect = float(np.abs(adk + adk.transpose(0, 2, 1)).max())
+    if skew_defect > 1e-10 * max(1.0, float(np.abs(adk).max())):
+        raise ReductiveError(
+            f"isotropy action on {space.name} is not skew in the m-frame "
+            f"(defect {skew_defect:.3e})"
+        )
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
         w = rng.standard_normal(space.dim_k)
         w /= np.linalg.norm(w)
-        g = expm(np.einsum("a,aij->ij", w, space.adk))
+        g = _expm_skew(np.tensordot(w, adk, (0, 0)))
         x = rng.standard_normal(space.dim_m)
         y = rng.standard_normal(space.dim_m)
         for eta in result.basis:

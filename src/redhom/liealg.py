@@ -125,15 +125,17 @@ class LieAlgebra:
         """Residuals of antisymmetry, Jacobi and ad-invariance of the Killing form."""
         c, k = self.structure, self.killing
         antisym = np.abs(c + c.transpose(1, 0, 2)).max() if self.dim else 0.0
+        d = self.dim
+        flat = c.reshape(d, d * d)
         jacobi = 0.0
-        for i in range(self.dim):
+        for i in range(d):
             term = (
-                np.einsum("jm,mkl->jkl", c[i], c)
-                + np.einsum("jkm,ml->jkl", c, c[:, i, :])
-                + np.einsum("km,mjl->kjl", c[:, i, :], c).transpose(1, 0, 2)
+                (c[i] @ flat).reshape(d, d, d)
+                + c @ c[:, i, :]
+                + (c[:, i, :] @ flat).reshape(d, d, d).transpose(1, 0, 2)
             )
             jacobi = max(jacobi, np.abs(term).max())
-        ad_inv = np.einsum("zxm,my->zxy", c, k)
+        ad_inv = c @ k
         ad_inv = np.abs(ad_inv + ad_inv.transpose(0, 2, 1)).max() if self.dim else 0.0
         return {
             "antisymmetry": float(antisym),

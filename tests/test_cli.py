@@ -2,8 +2,10 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
+from redhom import equivariant
 from redhom.cli import main
 
 
@@ -96,10 +98,26 @@ def test_invalid_flag_params_exit_code(capsys):
 
 
 def test_oversized_homdim_exits_2(capsys):
-    code, out, err = run_cli(capsys, "homdim", "--space", "flag-B(3,2)")
+    code, out, err = run_cli(capsys, "homdim", "--space", "flag-C(5,3)")
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "GiB" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc, want", [
+    (np.linalg.LinAlgError("Eigenvalues did not converge"), 1),
+    (MemoryError("Unable to allocate 80.0 GiB for an array"), 2),
+    (MemoryError(), 2),
+])
+def test_solver_failures_exit_with_one_line(capsys, monkeypatch, exc, want):
+    def failing(space, *args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(equivariant, "hom_dimension", failing)
+    code, out, err = run_cli(capsys, "homdim", "--space", "sphere-s6")
+    assert code == want and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_einstein_on_irreducible_space_is_rejected(capsys):

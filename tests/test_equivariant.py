@@ -1,16 +1,32 @@
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from redhom import catalog
+import redhom
+from redhom import catalog, equivariant
+from redhom.cli import resolve_space
 from redhom.equivariant import (
     SOLVE_BUDGET_BYTES,
     RankAmbiguityError,
     SolveTooLargeError,
+    _apply_equivariance,
+    _equivariance_operator,
+    _expm_skew,
+    _gram,
     certify_bracket_span,
     group_spot_check,
     hom_dimension,
     solve_bytes,
 )
+from redhom.reductive import ReductiveError
+
+SMALL_SPACES = ["cp3", "sphere-s4", "sphere-s6", "sphere-s7", "berger", "flag-B(2,2)"]
 
 
 def test_s7_one_dimensional(sphere_s7):
@@ -73,9 +89,108 @@ def test_lie_group_case_returns_everything(su2_group):
     assert res.dimension == 27
 
 
-def test_oversized_solve_is_refused_before_building(sphere_s7):
-    assert solve_bytes(sphere_s7) == 8 * 4802 * (4802 + 343) < SOLVE_BUDGET_BYTES
-    # 3.1 GiB of dense system and SVD factor: refused from its size alone
-    space = catalog.build_space("flag-B(3,2)")
-    with pytest.raises(SolveTooLargeError, match="flag-B"):
+def test_oversized_solve_is_refused_before_building(sphere_s7, monkeypatch):
+    # G, LAPACK's copy, two of workspace and the eigenvectors: 5 x 343^2 doubles
+    assert solve_bytes(sphere_s7) == 5 * 8 * 343**2 < SOLVE_BUDGET_BYTES
+    # 81 GiB of Gram solve: refused from its size alone
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Gram matrix built")
+
+    monkeypatch.setattr(equivariant, "_gram", forbidden)
+    space = catalog.build_space("flag-C(5,3)")
+    with pytest.raises(SolveTooLargeError, match="flag-C"):
         hom_dimension(space)
+
+
+@pytest.mark.parametrize("normalization", [None, "bprime"])
+@pytest.mark.parametrize("space_id", SMALL_SPACES)
+def test_gram_null_space_matches_dense_svd(space_id, normalization):
+    space, _ = resolve_space(space_id, normalization)
+    system = _equivariance_operator(space)
+    gram = _gram(space)
+    assert np.abs(gram - system.T @ system).max() < 1e-12 * max(1.0, np.abs(gram).max())
+    _, dense_s, vt = np.linalg.svd(system, full_matrices=False)
+    rank = int((dense_s > dense_s[0] * 1e-9).sum())
+    dense = vt[rank:].T
+    res = hom_dimension(space)
+    assert res.dimension == dense.shape[1]
+    assert np.allclose(res.singular_values[:rank], dense_s[:rank], rtol=1e-10)
+    assert res.gap >= 1e3
+    if res.dimension:
+        ours = res.basis.reshape(res.dimension, -1).T
+        assert np.abs(ours.T @ ours - np.eye(res.dimension)).max() < 1e-12
+        # sine of the largest principal angle between the two null spaces
+        assert np.linalg.norm(ours - dense @ (dense.T @ ours), 2) < 1e-8
+
+
+@pytest.mark.parametrize("space_id", SMALL_SPACES)
+def test_matrix_free_action_matches_operator(space_id):
+    space = catalog.build_space(space_id)
+    n = space.dim_m
+    system = _equivariance_operator(space)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        eta = rng.standard_normal((n, n, n))
+        applied = _apply_equivariance(space, eta)
+        assert applied.shape == (space.dim_k, n, n, n)
+        ref = system @ eta.reshape(-1)
+        assert np.abs(applied.reshape(-1) - ref).max() < 1e-12 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("space_id", SMALL_SPACES + ["flag-C(5,3)"])
+def test_eigh_exponential_matches_expm(space_id):
+    space = catalog.build_space(space_id)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        a = np.tensordot(rng.standard_normal(space.dim_k), space.adk, (0, 0))
+        assert np.abs(a + a.T).max() < 1e-12
+        assert np.abs(_expm_skew(a) - scipy.linalg.expm(a)).max() < 1e-12
+
+
+def test_spot_check_refuses_a_non_skew_action(sphere_s6):
+    res = hom_dimension(sphere_s6)
+    bent = sphere_s6.adk.copy()
+    bent[0] += 1e-6 * np.eye(sphere_s6.dim_m)
+    fake = SimpleNamespace(adk=bent, dim_k=sphere_s6.dim_k, dim_m=sphere_s6.dim_m,
+                           name="bent")
+    with pytest.raises(ReductiveError, match="not skew"):
+        group_spot_check(res, fake)
+
+
+def test_import_does_not_load_scipy():
+    src = Path(redhom.__file__).resolve().parents[1]
+    probe = ("import sys, redhom.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.fixture(scope="module")
+def flag_b32_solve():
+    space = catalog.build_space("flag-B(3,2)")
+    tracemalloc.start()
+    try:
+        res = hom_dimension(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return space, res, peak
+
+
+def test_flag_b32_is_answered(flag_b32_solve):
+    space, res, _ = flag_b32_solve
+    assert space.dim_m == 14 and solve_bytes(space) < SOLVE_BUDGET_BYTES
+    assert res.dimension == 6
+    assert res.skew_dim + res.sym_dim == 6
+    assert res.gap >= 1e3
+    assert certify_bracket_span(res, space)["ok"]
+    assert group_spot_check(res, space, samples=10, seed=0) < 1e-6
+
+
+def test_flag_b32_solve_stays_within_its_budget(flag_b32_solve):
+    space, _, peak = flag_b32_solve
+    assert peak <= solve_bytes(space)
+    # numpy sees G and the eigenvectors only: no other n^6 array is formed
+    assert peak < 2.2 * 8 * space.dim_m**6
