@@ -15,6 +15,7 @@ from itertools import combinations
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+_JACOBI_BLOCK = 1 << 18  # entries of the Jacobi product scanned at once
 
 # Associative 3-form on R^7: index triples (1-based) and signs.
 _G2_FORM = [
@@ -125,16 +126,7 @@ class LieAlgebra:
         """Residuals of antisymmetry, Jacobi and ad-invariance of the Killing form."""
         c, k = self.structure, self.killing
         antisym = np.abs(c + c.transpose(1, 0, 2)).max() if self.dim else 0.0
-        d = self.dim
-        flat = c.reshape(d, d * d)
-        jacobi = 0.0
-        for i in range(d):
-            term = (
-                (c[i] @ flat).reshape(d, d, d)
-                + c @ c[:, i, :]
-                + (c[:, i, :] @ flat).reshape(d, d, d).transpose(1, 0, 2)
-            )
-            jacobi = max(jacobi, np.abs(term).max())
+        jacobi = _jacobi_residual(c)
         ad_inv = c @ k
         ad_inv = np.abs(ad_inv + ad_inv.transpose(0, 2, 1)).max() if self.dim else 0.0
         return {
@@ -143,6 +135,48 @@ class LieAlgebra:
             "killing_ad_invariance": float(ad_inv),
             "ok": bool(max(antisym, jacobi, ad_inv) < tol),
         }
+
+
+def _jacobi_residual(c: np.ndarray) -> float:
+    """max |[[a,b],e] + [[b,e],a] + [[e,a],b]| over distinct a < b < e.
+
+    T[(x,y),(z,m)] = sum_l c[x,y,l] c[l,z,m] is one matmul of the nonzero
+    brackets x < y against the nonzero columns of c, so the cost follows the
+    nonzeros of c.  Once c is antisymmetric (checked beside this) the Jacobi
+    sum is alternating in (a, b, e): triples with a repeated index vanish and
+    the other orderings differ by sign, so J = T(a,b,e) + T(b,e,a) - T(a,e,b)
+    at the sorted triples of the nonzero entries of T is the whole check.
+    """
+    d = c.shape[0]
+    x, y = np.triu_indices(d, 1)
+    nonzero = np.any(c[x, y] != 0, axis=1)
+    x, y = x[nonzero], y[nonzero]
+    right = c.reshape(d, d * d)
+    cols = np.flatnonzero(np.any(right != 0, axis=0))
+    t = c[x, y] @ right[:, cols]
+    row_of = np.full(d * d, -1)
+    row_of[x * d + y] = np.arange(x.size)
+    col_of = np.full(d * d, -1)
+    col_of[cols] = np.arange(cols.size)
+
+    def lookup(p, q, r, m):
+        i, j = row_of[p * d + q], col_of[r * d + m]
+        return np.where((i >= 0) & (j >= 0), t[i, j], 0.0)
+
+    # scan the nonzeros of t in row blocks, so a dense c keeps its index arrays small
+    jacobi = 0.0
+    step = max(1, _JACOBI_BLOCK // max(cols.size, 1))
+    for start in range(0, x.size, step):
+        i, j = np.nonzero(t[start:start + step])
+        i += start
+        z, m = np.divmod(cols[j], d)
+        keep = (z != x[i]) & (z != y[i])
+        a, b, e = np.sort(np.stack([x[i][keep], y[i][keep], z[keep]]), axis=0)
+        m = m[keep]
+        jac = lookup(a, b, e, m) + lookup(b, e, a, m) - lookup(a, e, b, m)
+        if jac.size:
+            jacobi = max(jacobi, float(np.abs(jac).max()))
+    return jacobi
 
 
 def from_basis(name: str, mats, tol: float = DEFAULT_TOL, validate: bool = True) -> LieAlgebra:
@@ -157,18 +191,18 @@ def from_basis(name: str, mats, tol: float = DEFAULT_TOL, validate: bool = True)
     if np.linalg.matrix_rank(flat, tol=1e-10) != dim:
         raise LieAlgebraError(f"basis of {name} is linearly dependent")
     pinv = np.linalg.pinv(flat)
-    comm = np.einsum("iab,jbc->ijac", mats, mats)
-    comm = comm - comm.transpose(1, 0, 2, 3)
-    structure = comm.reshape(dim, dim, -1) @ pinv
-    closure = np.abs(
-        structure @ flat - comm.reshape(dim, dim, -1)
-    ).max() if dim else 0.0
-    if closure > 1e-8 * max(1.0, np.abs(comm).max() if dim else 1.0):
+    comm = np.tensordot(mats, mats, (2, 1)).transpose(0, 2, 1, 3)
+    comm = (comm - comm.transpose(1, 0, 2, 3)).reshape(dim, dim, -1)
+    structure = comm @ pinv
+    closure = np.abs(structure @ flat - comm).max() if dim else 0.0
+    scale = max(1.0, np.abs(comm).max() if dim else 1.0)
+    del comm  # the commutator table is the largest array; free it before validate
+    if closure > 1e-8 * scale:
         raise LieAlgebraError(
             f"basis of {name} is not bracket-closed (residual {closure:.3e})"
         )
     structure[np.abs(structure) < tol] = 0.0
-    killing = np.einsum("iab,jba->ij", structure, structure)
+    killing = np.tensordot(structure, structure, ([1, 2], [2, 1]))
     alg = LieAlgebra(name=name, basis=mats, structure=structure, killing=killing)
     if validate:
         report = alg.validate(tol=max(tol, 1e-8))
@@ -389,7 +423,7 @@ def ideal_generated_by(a: LieAlgebra, v, tol: float = 1e-8) -> np.ndarray:
     while True:
         brs = a.brackets(np.eye(a.dim), span).reshape(-1, a.dim)
         stacked = np.vstack([span, brs])
-        u, s, vt = np.linalg.svd(stacked)
+        _, s, vt = np.linalg.svd(stacked, full_matrices=False)
         rank = int((s > s[0] * tol).sum())
         if rank == span.shape[0]:
             return vt[:rank]

@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import redhom
 from redhom import equivariant
 from redhom.cli import main
 
@@ -183,3 +187,14 @@ def test_bad_numeric_parameters_exit_2(capsys, argv):
     assert exc.value.code == 2
     assert out.out == ""
     assert "Traceback" not in out.err and "error: argument" in out.err
+
+
+def test_cold_flag_build_does_not_load_scipy():
+    src = Path(redhom.__file__).resolve().parents[1]
+    probe = ("import sys; from redhom import cli; "
+             "code = cli.main(['--format', 'json', 'einstein', 'skew', "
+             "'--space', 'flag-C(5,3)']); "
+             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": str(src)})
+    assert out.stdout.splitlines()[-1] == "0 []"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from redhom import liealg
 from redhom.liealg import (
     InnerProduct,
+    LieAlgebra,
     LieAlgebraError,
     bprime,
     build_g2,
@@ -52,6 +55,98 @@ def test_algebra_invariants(builder):
     assert report["antisymmetry"] < 1e-9
     assert report["jacobi"] < 1e-9
     assert report["killing_ad_invariance"] < 1e-9
+
+
+def dense_jacobi(c):
+    """Reference: max |J(i, j, k)| over every index triple, one index at a time."""
+    d = c.shape[0]
+    flat = c.reshape(d, d * d)
+    jacobi = 0.0
+    for i in range(d):
+        term = (
+            (c[i] @ flat).reshape(d, d, d)
+            + c @ c[:, i, :]
+            + (c[:, i, :] @ flat).reshape(d, d, d).transpose(1, 0, 2)
+        )
+        jacobi = max(jacobi, np.abs(term).max())
+    return float(jacobi)
+
+
+def assert_matches_reference(alg):
+    new, ref = alg.validate()["jacobi"], dense_jacobi(alg.structure)
+    assert abs(new - ref) <= 1e-9 * max(new, ref), (alg.name, new, ref)
+
+
+def perturbed(alg, rng, size=1e-3):
+    """``alg`` with a seeded antisymmetric perturbation of its structure tensor.
+
+    Small algebras get a dense perturbation; above dim 30 a sparse one, which
+    also adds nonzero brackets and columns the unperturbed tensor lacks.
+    """
+    p = size * rng.standard_normal(alg.structure.shape)
+    if alg.dim > 30:
+        p *= rng.random(p.shape) < 2e-3
+    p -= p.transpose(1, 0, 2)
+    return LieAlgebra(name=f"{alg.name}~", basis=alg.basis,
+                      structure=alg.structure + p, killing=alg.killing)
+
+
+JACOBI_BUILDERS = {
+    "so2": lambda: build_so(2), "so5": lambda: build_so(5),
+    "so7": lambda: build_so(7), "so11": lambda: build_so(11),
+    "so12": lambda: build_so(12), "su2": lambda: build_su(2),
+    "su3": lambda: build_su(3), "su4": lambda: build_su(4),
+    "u1": lambda: build_u(1), "u3": lambda: build_u(3),
+    "sp2": lambda: build_sp(2), "sp5": lambda: build_sp(5), "g2": build_g2,
+    "su2+so5": lambda: direct_sum(build_su(2), build_so(5)),
+}
+
+
+@pytest.mark.parametrize("key", JACOBI_BUILDERS)
+def test_jacobi_matches_dense_reference(key):
+    alg = JACOBI_BUILDERS[key]()
+    assert_matches_reference(alg)
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        bent = perturbed(alg, rng)
+        assert_matches_reference(bent)
+        if alg.dim > 1:
+            report = bent.validate()
+            assert report["jacobi"] > 1e-6 and not report["ok"]
+
+
+def test_validate_fails_on_a_jacobi_defect():
+    # [e0, e1] = e1 and [e1, e2] = e0: antisymmetric, with an ad-invariant
+    # (zero) form, but the Jacobi sum of (e0, e1, e2) is [[e0, e1], e2] = e0
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 1], c[1, 0, 1] = 1.0, -1.0
+    c[1, 2, 0], c[2, 1, 0] = 1.0, -1.0
+    alg = LieAlgebra(name="bad", basis=np.zeros((3, 1, 1)), structure=c,
+                     killing=np.zeros((3, 3)))
+    report = alg.validate()
+    assert report["antisymmetry"] == 0.0 and report["killing_ad_invariance"] == 0.0
+    assert report["jacobi"] == dense_jacobi(c) == 1.0
+    assert not report["ok"]
+
+
+@pytest.mark.parametrize("n,dim", [(8, 28), (10, 45), (14, 91)])
+def test_wolf_ambient_algebras_build(n, dim):
+    alg = build_so(n)
+    assert alg.dim == dim
+    assert alg.validate()["ok"]
+
+
+def test_ideal_of_so12_does_not_form_the_full_svd():
+    so12 = build_so(12)
+    v = np.random.default_rng(7).standard_normal(so12.dim)
+    tracemalloc.start()
+    try:
+        ideal = ideal_generated_by(so12, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ideal.shape == (66, 66)
+    assert peak < 32 * 2**20
 
 
 def test_bprime_orthonormal_on_so5():
