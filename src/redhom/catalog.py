@@ -420,4 +420,4 @@ def build_space(descriptor) -> ReductiveSpace:
 def known_ids() -> list:
     """Named catalog ids (the flag and group generators accept parameters)."""
     return sorted(_NAMED) + ["lie-group(su2)", "lie-group(su3)",
-                             "flag-B(5,4)", "flag-C(5,3)"]
+                             "flag-B(5,4)", "flag-C(5,3)", "flag-D(6,4)"]

@@ -10,6 +10,7 @@ maps on u(n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .liealg import (
     DEFAULT_TOL,
     LieAlgebra,
     LieAlgebraError,
+    _read_only,
     build_u,
     negative_killing,
     nullspace,
@@ -51,6 +53,11 @@ class NomizuMap:
     @property
     def dim(self) -> int:
         return self.coeffs.shape[0]
+
+    @cached_property
+    def frame_tables(self) -> tuple:
+        """``frame_tables(space, metric)`` computed once per map, read-only."""
+        return tuple(_read_only(t) for t in frame_tables(self.space, self.metric))
 
     def rescaled(self, metric: MetricSpec) -> "NomizuMap":
         """Same map expressed in the frame of another metric."""
@@ -171,7 +178,7 @@ def equivariance_residual(nm: NomizuMap) -> float:
     space = nm.space
     if space.dim_k == 0:
         return 0.0
-    _, _, adk_f, _ = frame_tables(space, nm.metric)
+    _, _, adk_f, _ = nm.frame_tables
     lam = lambda_matrices(nm)
     # ad(W) Lambda(X) - Lambda(X) ad(W) - Lambda(ad(W) X) over k and frame X
     left = np.einsum("wij,ajk->waik", adk_f, lam) - np.einsum(
@@ -185,7 +192,7 @@ def derivation_defect(nm: NomizuMap) -> np.ndarray:
     """Leibniz defect D(Z,X,Y) of the map against the m-bracket (k = 0 spaces)."""
     if nm.space.dim_k != 0:
         raise ConnectionError_("derivation checks are for Lie group spaces")
-    bm_f, _, _, _ = frame_tables(nm.space, nm.metric)
+    bm_f, _, _, _ = nm.frame_tables
     L = nm.coeffs
     term1 = np.einsum("xyc,zcd->zxyd", bm_f, L)
     term2 = np.einsum("zxc,cyd->zxyd", L, bm_f)
@@ -211,7 +218,7 @@ def verify_stary(nm: NomizuMap, tol: float = DEFAULT_TOL) -> float:
         raise ConnectionError_(
             f"the identity presumes Lambda(X)X = 0 (violated by {res:.3e})"
         )
-    bm_f, _, _, _ = frame_tables(nm.space, nm.metric)
+    bm_f, _, _, _ = nm.frame_tables
     lam = lambda_matrices(nm)
     L = nm.coeffs
     # torsion T(X,Y) = 2 Lambda(X)Y - [X,Y]

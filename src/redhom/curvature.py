@@ -86,7 +86,7 @@ class Tensor2:
 
 def torsion(nm: NomizuMap) -> Tensor3:
     """T(X,Y) = Lambda(X)Y - Lambda(Y)X - [X,Y]_m over the frame."""
-    bm_f, _, _, _ = frame_tables(nm.space, nm.metric)
+    bm_f, _, _, _ = nm.frame_tables
     t = nm.coeffs - nm.coeffs.transpose(1, 0, 2) - bm_f
     return Tensor3(t, nm.metric, label=nm.label)
 
@@ -94,7 +94,7 @@ def torsion(nm: NomizuMap) -> Tensor3:
 def curvature(nm: NomizuMap) -> Tensor31:
     """R(X,Y) = [Lambda(X),Lambda(Y)] - Lambda([X,Y]_m) - ad([X,Y]_k)."""
     space = nm.space
-    bm_f, bk_f, adk_f, _ = frame_tables(space, nm.metric)
+    bm_f, bk_f, adk_f, _ = nm.frame_tables
     lam = lambda_matrices(nm)
     rmat = np.einsum("aij,bjk->abik", lam, lam)
     rmat = rmat - rmat.transpose(1, 0, 2, 3)
@@ -118,7 +118,7 @@ def ricci_oracle(nm: NomizuMap) -> Tensor2:
     Ric = Lambda.u - <Lambda,Lambda> - <bm_f,Lambda> - <bk_f,adk_f>, where
     u_j = sum_i Lambda[i,j,i] and <A,B>[x,y] = sum_{i,j} A[x,i,j] B[j,y,i].
     """
-    bm_f, bk_f, adk_f, _ = frame_tables(nm.space, nm.metric)
+    bm_f, bk_f, adk_f, _ = nm.frame_tables
     lam = lambda_matrices(nm)
     u = np.einsum("iji->j", lam)
     ric = lam @ u - _pair(lam, lam) - _pair(bm_f, lam)

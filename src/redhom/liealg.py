@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 DEFAULT_TOL = 1e-9
-_JACOBI_BLOCK = 1 << 18  # entries of the Jacobi product scanned at once
+_BLOCK = 1 << 16  # entries of one scratch table in an algebra build or check
 
 # Associative 3-form on R^7: index triples (1-based) and signs.
 _G2_FORM = [
@@ -123,12 +123,20 @@ class LieAlgebra:
         return np.einsum("i,ijk->kj", np.asarray(x, dtype=float), self.structure)
 
     def validate(self, tol: float = DEFAULT_TOL) -> dict:
-        """Residuals of antisymmetry, Jacobi and ad-invariance of the Killing form."""
+        """Residuals of antisymmetry, Jacobi and ad-invariance of the Killing form.
+
+        Antisymmetry and ad-invariance are taken over blocks of the first
+        index of at most ``_BLOCK`` entries; see ``_jacobi_residual`` for Jacobi.
+        """
         c, k = self.structure, self.killing
-        antisym = np.abs(c + c.transpose(1, 0, 2)).max() if self.dim else 0.0
+        antisym = ad_inv = 0.0
+        step = max(1, _BLOCK // max(self.dim, 1) ** 2)
+        for i in range(0, self.dim, step):
+            part = c[i:i + step]
+            antisym = max(antisym, np.abs(part + c[:, i:i + step].transpose(1, 0, 2)).max())
+            part = part @ k
+            ad_inv = max(ad_inv, np.abs(part + part.transpose(0, 2, 1)).max())
         jacobi = _jacobi_residual(c)
-        ad_inv = c @ k
-        ad_inv = np.abs(ad_inv + ad_inv.transpose(0, 2, 1)).max() if self.dim else 0.0
         return {
             "antisymmetry": float(antisym),
             "jacobi": float(jacobi),
@@ -137,45 +145,95 @@ class LieAlgebra:
         }
 
 
+def _product(rows: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``rows @ right`` over the nonzero columns of ``rows``, flattened, with
+    one trailing zero that every clipped index past the end reads."""
+    inner = np.flatnonzero((rows != 0).any(axis=0))
+    out = np.zeros(rows.shape[0] * right.shape[1] + 1)
+    np.matmul(rows[:, inner], right[inner],
+              out=out[:-1].reshape(rows.shape[0], right.shape[1]))
+    return out
+
+
+def _nonzeros(flat: np.ndarray):
+    """Indices of the nonzero entries of a ``_product``, ``_BLOCK`` at a time."""
+    end = flat.size - 1
+    for start in range(0, end, _BLOCK):
+        yield start + np.flatnonzero(flat[start:min(start + _BLOCK, end)] != 0)
+
+
 def _jacobi_residual(c: np.ndarray) -> float:
     """max |[[a,b],e] + [[b,e],a] + [[e,a],b]| over distinct a < b < e.
 
-    T[(x,y),(z,m)] = sum_l c[x,y,l] c[l,z,m] is one matmul of the nonzero
-    brackets x < y against the nonzero columns of c, so the cost follows the
-    nonzeros of c.  Once c is antisymmetric (checked beside this) the Jacobi
-    sum is alternating in (a, b, e): triples with a repeated index vanish and
-    the other orderings differ by sign, so J = T(a,b,e) + T(b,e,a) - T(a,e,b)
-    at the sorted triples of the nonzero entries of T is the whole check.
+    With T[(p,q),(r,m)] = sum_l c[p,q,l] c[l,r,m] over the nonzero brackets
+    p < q and the nonzero columns (r, m) of c, the Jacobi sum is
+    J = T(a,b,e) + T(b,e,a) - T(a,e,b).  Once c is antisymmetric (checked
+    beside this) J is alternating, so the sorted triples are the whole
+    check, and J can be nonzero only where one of its three terms is.
+    T is never stored.  For a block of smallest indices a0 <= a < a1 two
+    slabs of it are formed: P, its rows (a, q), and Q, its columns (a, m)
+    over the rows (b, e) with b >= a0.  P holds the first and third terms
+    of every triple (a, b, e) in the block and Q the second, so each nonzero
+    of P or Q names a triple whose three terms are read back from P and Q.
+    Blocks grow while P and Q fit in ``_BLOCK`` entries, and their nonzeros
+    are read ``_BLOCK`` at a time.  A block holds at least one a, whose
+    slabs are O(d^3) even for a dense c, never the d^4 product; each product
+    runs only over the brackets its rows reach, so a sparse c costs little.
     """
     d = c.shape[0]
-    x, y = np.triu_indices(d, 1)
-    nonzero = np.any(c[x, y] != 0, axis=1)
-    x, y = x[nonzero], y[nonzero]
+    x, y = np.nonzero(np.triu((c != 0).any(axis=2), 1))
+    pairs = c[x, y]
     right = c.reshape(d, d * d)
-    cols = np.flatnonzero(np.any(right != 0, axis=0))
-    t = c[x, y] @ right[:, cols]
-    row_of = np.full(d * d, -1)
+    cols = np.flatnonzero((right != 0).any(axis=0))
+    right = right[:, cols]
+    col_r, col_m = np.divmod(cols, d)
+    row_start = np.searchsorted(x, np.arange(d + 1)).tolist()
+    col_start = np.searchsorted(col_r, np.arange(d + 1)).tolist()
+    # rows and columns of T; an absent one maps past the end of every slab
+    missing = d ** 4
+    row_of = np.full(d * d, missing)
     row_of[x * d + y] = np.arange(x.size)
-    col_of = np.full(d * d, -1)
+    col_of = np.full(d * d, missing)
     col_of[cols] = np.arange(cols.size)
+    ncols = cols.size
 
-    def lookup(p, q, r, m):
-        i, j = row_of[p * d + q], col_of[r * d + m]
-        return np.where((i >= 0) & (j >= 0), t[i, j], 0.0)
+    jacobi, a0 = 0.0, 0
+    while a0 < d:
+        # grow the block of smallest indices [a0, a1) while its slabs fit
+        r0, c0, a1 = row_start[a0], col_start[a0], a0 + 1
+        while a1 < d and ((row_start[a1 + 1] - r0) * ncols
+                          + (x.size - r0) * (col_start[a1 + 1] - c0)) <= _BLOCK:
+            a1 += 1
+        r1, c1 = row_start[a1], col_start[a1]
+        nq = c1 - c0
+        p = _product(pairs[r0:r1], right)
+        reach = np.flatnonzero((right[:, c0:c1] != 0).any(axis=1))
+        q = _product(pairs[r0:, reach], right[reach, c0:c1])
 
-    # scan the nonzeros of t in row blocks, so a dense c keeps its index arrays small
-    jacobi = 0.0
-    step = max(1, _JACOBI_BLOCK // max(cols.size, 1))
-    for start in range(0, x.size, step):
-        i, j = np.nonzero(t[start:start + step])
-        i += start
-        z, m = np.divmod(cols[j], d)
-        keep = (z != x[i]) & (z != y[i])
-        a, b, e = np.sort(np.stack([x[i][keep], y[i][keep], z[keep]]), axis=0)
-        m = m[keep]
-        jac = lookup(a, b, e, m) + lookup(b, e, a, m) - lookup(a, e, b, m)
-        if jac.size:
-            jacobi = max(jacobi, float(np.abs(jac).max()))
+        def in_p(a, s, r, m):  # T(a,s,r,m) for a in the block
+            return p.take((row_of[a * d + s] - r0) * ncols + col_of[r * d + m], mode="clip")
+
+        # nonzeros of P: T(a,s,r,m) with a < r != s, the triple a < min(s,r) < max(s,r)
+        for idx in _nonzeros(p):
+            i, j = np.divmod(idx, ncols)
+            a, s, r, m = x[r0 + i], y[r0 + i], col_r[j], col_m[j]
+            keep = (r > a) & (r != s)
+            idx, a, s, r, m = idx[keep], a[keep], s[keep], r[keep], m[keep]
+            jac = p[idx] - in_p(a, r, s, m)
+            np.negative(jac, out=jac, where=s > r)
+            lo, hi = np.minimum(s, r), np.maximum(s, r)
+            jac += q.take((row_of[lo * d + hi] - r0) * nq + col_of[a * d + m] - c0, mode="clip")
+            jacobi = max(jacobi, float(np.abs(jac).max(initial=0.0)))
+
+        # nonzeros of Q: T(b,e,a,m) with a < b < e
+        for idx in _nonzeros(q):
+            i, j = np.divmod(idx, nq)
+            b, e, a, m = x[r0 + i], y[r0 + i], col_r[c0 + j], col_m[c0 + j]
+            keep = b > a
+            idx, b, e, a, m = idx[keep], b[keep], e[keep], a[keep], m[keep]
+            jac = in_p(a, b, e, m) + q[idx] - in_p(a, e, b, m)
+            jacobi = max(jacobi, float(np.abs(jac).max(initial=0.0)))
+        a0 = a1
     return jacobi
 
 
@@ -183,7 +241,12 @@ def from_basis(name: str, mats, tol: float = DEFAULT_TOL, validate: bool = True)
     """Build a LieAlgebra from a list/array of real matrices.
 
     Structure constants are solved by least squares; the basis must be
-    linearly independent and bracket-closed.
+    linearly independent and bracket-closed.  The commutators [Z_i, Z_j],
+    i < j, are formed and read off in blocks of at most ``_BLOCK`` entries
+    (part of one row i of the table), with the closure residual and its
+    scale kept as running maxima, so the dim^2 N^2 commutator table is
+    never stored.  [Z_j, Z_i] is the exact negative of [Z_i, Z_j] and
+    [Z_i, Z_i] = 0, so their residuals are the ones already taken.
     """
     mats = np.asarray(mats, dtype=float)
     dim = mats.shape[0]
@@ -191,12 +254,18 @@ def from_basis(name: str, mats, tol: float = DEFAULT_TOL, validate: bool = True)
     if np.linalg.matrix_rank(flat, tol=1e-10) != dim:
         raise LieAlgebraError(f"basis of {name} is linearly dependent")
     pinv = np.linalg.pinv(flat)
-    comm = np.tensordot(mats, mats, (2, 1)).transpose(0, 2, 1, 3)
-    comm = (comm - comm.transpose(1, 0, 2, 3)).reshape(dim, dim, -1)
-    structure = comm @ pinv
-    closure = np.abs(structure @ flat - comm).max() if dim else 0.0
-    scale = max(1.0, np.abs(comm).max() if dim else 1.0)
-    del comm  # the commutator table is the largest array; free it before validate
+    structure = np.zeros((dim, dim, dim))
+    closure, scale = 0.0, 1.0
+    step = max(1, _BLOCK // flat.shape[1])
+    for i in range(dim):
+        for j in range(i + 1, dim, step):
+            part = mats[j:j + step]
+            comm = (mats[i] @ part - part @ mats[i]).reshape(part.shape[0], -1)
+            coeffs = comm @ pinv
+            structure[i, j:j + step] = coeffs
+            structure[j:j + step, i] = -coeffs
+            closure = max(closure, np.abs(coeffs @ flat - comm).max())
+            scale = max(scale, np.abs(comm).max())
     if closure > 1e-8 * scale:
         raise LieAlgebraError(
             f"basis of {name} is not bracket-closed (residual {closure:.3e})"
@@ -238,10 +307,18 @@ def build_so(n: int) -> LieAlgebra:
 
 
 def realify(z: np.ndarray) -> np.ndarray:
-    """Real 2n x 2n matrix of a complex n x n one, interleaving re/im pairs."""
-    i2 = np.eye(2)
-    j2 = np.array([[0.0, -1.0], [1.0, 0.0]])
-    return np.kron(z.real, i2) + np.kron(z.imag, j2)
+    """Real 2n x 2n matrix of a complex n x n one, interleaving re/im pairs.
+
+    Entry (i, j) becomes the block [[re, -im], [im, re]].  Each block entry
+    is formed as re * I + im * J would form it, zero products included, so
+    signed zeros match that Kronecker sum bit for bit.
+    """
+    re, im = z.real, z.imag
+    out = np.empty((2 * re.shape[0], 2 * re.shape[1]))
+    out[0::2, 0::2] = out[1::2, 1::2] = re + im * 0.0
+    out[0::2, 1::2] = re * 0.0 - im
+    out[1::2, 0::2] = re * 0.0 + im
+    return out
 
 
 def _su_complex_basis(n: int):

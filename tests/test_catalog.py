@@ -156,6 +156,7 @@ def test_lie_group_ids():
 
 
 def test_known_ids_resolve():
+    assert {"flag-B(5,4)", "flag-C(5,3)", "flag-D(6,4)"} <= set(catalog.known_ids())
     for sid in catalog.known_ids():
         desc = parse_id(sid)
         assert desc.id == sid

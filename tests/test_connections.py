@@ -258,3 +258,18 @@ def test_st_family_equivariance(cp3, flag_c53):
         for s, t in ((2.0, 0.3), (-1.0, 0.5), (3.0, 0.8)):
             nm = nomizu_st(sp, s, t)
             assert equivariance_residual(nm) < 1e-9
+
+
+def test_frame_tables_are_computed_once_per_map(cp3, flag_c53):
+    for space, nm in [(cp3, nomizu_st(cp3, 1.5, 0.7)), (flag_c53, nomizu_alpha(flag_c53, -1.0))]:
+        tables = nm.frame_tables
+        assert nm.frame_tables is tables
+        assert all(a is b for a, b in zip(nm.frame_tables, tables))
+        for table, fresh in zip(tables, frame_tables(space, nm.metric)):
+            assert np.array_equal(table, fresh)
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] += 1.0
+        # another metric gets its own tables
+        other = nm.rescaled(MetricSpec.g_t(0.3))
+        assert other.frame_tables is not tables
+        assert np.array_equal(other.frame_tables[0], frame_tables(space, other.metric)[0])

@@ -129,6 +129,147 @@ def test_validate_fails_on_a_jacobi_defect():
     assert not report["ok"]
 
 
+# Antisymmetric brackets [x, y] = z of e0, e1, e2 whose Jacobi sum at
+# (e0, e1, e2) has exactly one nonzero term, [[e0,e1],e2], [[e1,e2],e0] or
+# [[e0,e2],e1], equal to a basis vector.
+ONE_TERM_DEFECTS = [
+    [(0, 1, 1, 1.0), (1, 2, 0, 1.0)],
+    [(1, 2, 1, 1.0), (0, 1, 2, -1.0)],
+    [(0, 2, 2, 1.0), (1, 2, 0, -1.0)],
+]
+
+
+@pytest.mark.parametrize("brackets", ONE_TERM_DEFECTS)
+@pytest.mark.parametrize("labels", [(0, 1, 2), (4, 1, 3)])
+def test_validate_sees_each_jacobi_term_alone(brackets, labels):
+    # the labels place the defect at other indices of a dim-5 tensor
+    d = max(labels) + 1
+    c = np.zeros((d, d, d))
+    for x, y, z, val in brackets:
+        x, y, z = labels[x], labels[y], labels[z]
+        c[x, y, z], c[y, x, z] = val, -val
+    alg = LieAlgebra(name="bad", basis=np.zeros((d, 1, 1)), structure=c,
+                     killing=np.zeros((d, d)))
+    report = alg.validate()
+    assert report["antisymmetry"] == 0.0 and report["killing_ad_invariance"] == 0.0
+    assert report["jacobi"] == dense_jacobi(c) == 1.0
+    assert not report["ok"]
+
+
+def dense_structure(mats):
+    """Reference: structure constants from the whole dim^2 N^2 commutator table.
+
+    Returns the thresholded constants, the closure residual and its scale.
+    """
+    mats = np.asarray(mats, dtype=float)
+    dim = mats.shape[0]
+    flat = mats.reshape(dim, -1)
+    pinv = np.linalg.pinv(flat)
+    comm = np.tensordot(mats, mats, (2, 1)).transpose(0, 2, 1, 3)
+    comm = (comm - comm.transpose(1, 0, 2, 3)).reshape(dim, dim, -1)
+    structure = comm @ pinv
+    closure = np.abs(structure @ flat - comm).max()
+    scale = max(1.0, np.abs(comm).max())
+    structure[np.abs(structure) < liealg.DEFAULT_TOL] = 0.0
+    return structure, closure, scale
+
+
+STRUCTURE_BUILDERS = (
+    [(f"so{n}", lambda n=n: build_so(n)) for n in range(3, 15)]
+    + [(f"su{n}", lambda n=n: build_su(n)) for n in range(2, 7)]
+    + [(f"u{n}", lambda n=n: build_u(n)) for n in range(1, 5)]
+    + [(f"sp{n}", lambda n=n: build_sp(n)) for n in range(1, 6)]
+    + [("g2", build_g2)]
+)
+
+
+@pytest.mark.parametrize("key,builder", STRUCTURE_BUILDERS, ids=[k for k, _ in STRUCTURE_BUILDERS])
+def test_blocked_structure_matches_dense_reference(key, builder):
+    alg = builder()
+    ref, closure, scale = dense_structure(alg.basis)
+    assert closure <= 1e-8 * scale
+    assert np.abs(alg.structure - ref).max() <= 1e-14
+    killing = np.tensordot(ref, ref, ([1, 2], [2, 1]))
+    assert np.abs(alg.killing - killing).max() <= 1e-12 * max(1.0, np.abs(killing).max())
+
+
+@pytest.mark.parametrize("key", ["su3", "sp2", "g2", "su2+so5"])
+def test_results_do_not_depend_on_the_block_budget(key, monkeypatch):
+    alg = JACOBI_BUILDERS[key]()
+    bent = perturbed(alg, np.random.default_rng(3))
+    skewed = alg.structure.copy()
+    skewed[0, 1] += 1e-3  # neither antisymmetric nor ad-invariant
+    skewed = LieAlgebra(name="skewed", basis=alg.basis, structure=skewed, killing=alg.killing)
+    expected = [alg.structure, alg.validate(), bent.validate(), skewed.validate()]
+    assert not expected[3]["ok"]
+    # one commutator per block in from_basis, one smallest index a per Jacobi
+    # block, whose nonzeros are read in many parts
+    monkeypatch.setattr(liealg, "_BLOCK", 64)
+    small = liealg.from_basis(alg.name, alg.basis)
+    assert np.abs(small.structure - expected[0]).max() <= 1e-14
+    for report, ref in [(small.validate(), expected[1]), (bent.validate(), expected[2]),
+                        (skewed.validate(), expected[3])]:
+        assert report["ok"] == ref["ok"]
+        for name in ("antisymmetry", "jacobi", "killing_ad_invariance"):
+            assert report[name] == pytest.approx(ref[name], rel=1e-9, abs=1e-14)
+
+
+def test_basis_that_is_not_closed_is_rejected(monkeypatch):
+    so3 = build_so(3).basis
+    with pytest.raises(LieAlgebraError, match="not bracket-closed"):
+        liealg.from_basis("half-so3", so3[:2])
+    # one commutator per block: only [A, C], in the second block of its
+    # row, leaves the span (A and C lie in one su(2) ideal of so(4), B in the other)
+    e12, e13, _, _, e24, e34 = build_so(4).basis
+    monkeypatch.setattr(liealg, "_BLOCK", 16)
+    with pytest.raises(LieAlgebraError, match="not bracket-closed"):
+        liealg.from_basis("part-so4", [e12 + e34, e12 - e34, e13 - e24])
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sp5_build_stays_within_its_budget():
+    # the dense commutator table and the stored Jacobi product peaked at 29.1 MiB
+    mats = [liealg.realify(z) for z in liealg._sp_complex_basis(5)]
+    assert traced_peak(lambda: liealg.from_basis("sp(5)", mats)) < 29.1 * 2**20 / 2
+
+
+def test_so14_validate_stays_within_its_budget():
+    # the stored Jacobi product peaked at 20.5 MiB
+    so14 = build_so(14)
+    assert traced_peak(so14.validate) < 20.5 * 2**20 / 2
+
+
+def test_dense_jacobi_check_stays_within_its_budget():
+    # every bracket and column nonzero (d = 36): the whole Jacobi product
+    # peaked at 33.4 MiB, the slabs of one smallest index are O(d^3)
+    so9 = build_so(9)
+    p = 1e-3 * np.random.default_rng(5).standard_normal(so9.structure.shape)
+    bent = LieAlgebra(name="so9~", basis=so9.basis, killing=so9.killing,
+                      structure=so9.structure + p - p.transpose(1, 0, 2))
+    assert np.count_nonzero(bent.structure) == 36**3 - 36**2
+    assert traced_peak(bent.validate) < 33.4 * 2**20 / 3
+    assert_matches_reference(bent)
+
+
+def test_realify_matches_the_kronecker_sum_bit_for_bit(rng):
+    i2, j2 = np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])
+    mats = [z for n in range(1, 5) for z in liealg.u_complex_basis(n)]
+    mats += [z for n in range(1, 4) for z in liealg._sp_complex_basis(n)]
+    mats += [rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)),
+             np.array([[complex(-0.0, 0.0), complex(-1.0, -0.0), complex(2.0, -0.0)]])]
+    for z in mats:
+        ref = np.kron(z.real, i2) + np.kron(z.imag, j2)
+        assert liealg.realify(z).tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("n,dim", [(8, 28), (10, 45), (14, 91)])
 def test_wolf_ambient_algebras_build(n, dim):
     alg = build_so(n)
