@@ -63,6 +63,7 @@ from .curvature import (
 curvature_tensor = curvature.curvature
 from .einstein import (
     QuadraticReport,
+    einstein_defect,
     nabla_alpha_einstein_residual,
     riemannian_quadratic,
     skew_einstein_quadratic,
@@ -74,6 +75,7 @@ from .catalog import (
     SpaceDescriptor,
     build_space,
     family_dims,
+    family_table,
     killing_einstein_p,
     killing_einstein_table,
 )

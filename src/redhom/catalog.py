@@ -27,6 +27,7 @@ from .liealg import (
     realify,
     so_pairs,
     stabilizer_subalgebra,
+    three_form_stabilizer,
     u_complex_basis,
     vector_annihilator_constraint,
 )
@@ -44,6 +45,16 @@ class CatalogError(ValueError):
     """Unknown space id or invalid family parameters."""
 
 
+# family: (smallest p, l - largest p); the smallest l is their sum
+_RANGES = {"B": (2, 0), "C": (1, 1), "D": (2, 2)}
+
+
+def family_ps(family: str, ell: int) -> range:
+    """The parabolic parameters p that a family accepts at rank l."""
+    pmin, gap = _RANGES[family]
+    return range(pmin, ell - gap + 1)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Flag family letter with rank and parabolic parameters."""
@@ -55,14 +66,9 @@ class FamilySpec:
     def __post_init__(self):
         fam = self.family.upper()
         object.__setattr__(self, "family", fam)
-        ranges = {
-            "B": (self.ell >= 2 and 2 <= self.p <= self.ell),
-            "C": (self.ell >= 2 and 1 <= self.p <= self.ell - 1),
-            "D": (self.ell >= 4 and 2 <= self.p <= self.ell - 2),
-        }
-        if fam not in ranges:
+        if fam not in _RANGES:
             raise CatalogError(f"unknown family {self.family!r}")
-        if not ranges[fam]:
+        if self.p not in family_ps(fam, self.ell):
             raise CatalogError(
                 f"parameters (l={self.ell}, p={self.p}) out of range for family {fam}"
             )
@@ -71,11 +77,9 @@ class FamilySpec:
 def family_dims(spec: FamilySpec) -> tuple:
     """Dimensions (d1, d2) of the two isotropy summands."""
     ell, p = spec.ell, spec.p
-    if spec.family == "B":
-        return 4 * p * (ell - p) + 2 * p, p * (p - 1)
     if spec.family == "C":
         return 4 * p * (ell - p), p * (p + 1)
-    return 4 * p * (ell - p), p * (p - 1)
+    return 4 * p * (ell - p) + 2 * p * (spec.family == "B"), p * (p - 1)
 
 
 def killing_einstein_p(family: str, ell: int) -> int | None:
@@ -92,37 +96,41 @@ def killing_einstein_p(family: str, ell: int) -> int | None:
 
 def family_name(family: str, ell: int, p: int) -> str:
     """Group quotient label, omitting trivial factors."""
-    if family == "B":
-        rest = 2 * (ell - p) + 1
-        tail = f"xSO({rest})" if rest > 1 else ""
-        return f"SO({2 * ell + 1})/U({p}){tail}"
     if family == "C":
-        rest = ell - p
-        tail = f"xSp({rest})" if rest > 0 else ""
+        tail = f"xSp({ell - p})" if ell > p else ""
         return f"Sp({ell})/U({p}){tail}"
-    rest = 2 * (ell - p)
-    tail = f"xSO({rest})" if rest > 1 else ""
-    return f"SO({2 * ell})/U({p}){tail}"
+    n = 2 * ell + (family == "B")
+    tail = f"xSO({n - 2 * p})" if n - 2 * p > 1 else ""
+    return f"SO({n})/U({p}){tail}"
+
+
+def family_table(family: str, lmax: int) -> list:
+    """Rows (l, p, name, d1, d2, killing_einstein) of every buildable space, l up to lmax."""
+    family = family.upper()
+    rows = []
+    for ell in range(lmax + 1):
+        for p in family_ps(family, ell):
+            d1, d2 = family_dims(FamilySpec(family, ell, p))
+            rows.append({"family": family, "l": ell, "p": p,
+                         "name": family_name(family, ell, p), "d1": d1, "d2": d2,
+                         "killing_einstein": killing_einstein_p(family, ell) == p})
+    return rows
 
 
 def killing_einstein_table(family: str, lmax: int) -> list:
     """Rows (l, p, name) with an Einstein Killing metric, l up to lmax.
 
-    Rows follow the published series by divisibility alone; the D-series
-    opening row has p = l - 1, outside the strict build range.
+    Rows follow the published series by divisibility alone, which puts p
+    in [1, l - 1] for every l of the family; the D-series opening row has
+    p = l - 1, outside the strict build range.
     """
     family = family.upper()
-    lmin = {"B": 2, "C": 2, "D": 4}[family]
     rows = []
-    for ell in range(lmin, lmax + 1):
+    for ell in range(sum(_RANGES[family]), lmax + 1):
         p = killing_einstein_p(family, ell)
-        if p is None:
-            continue
-        upper = {"B": ell, "C": ell - 1, "D": ell - 1}[family]
-        if p < 1 or p > upper:
-            continue
-        rows.append({"family": family, "l": ell, "p": p,
-                     "name": family_name(family, ell, p)})
+        if p is not None:
+            rows.append({"family": family, "l": ell, "p": p,
+                         "name": family_name(family, ell, p)})
     return rows
 
 
@@ -179,19 +187,8 @@ def build_sphere_s4() -> ReductiveSpace:
 def build_sphere_s7() -> ReductiveSpace:
     """The 7-sphere over the 3-form stabilizer inside so(7)."""
     so7 = build_so(7)
-    w = liealg.three_form()
-    from itertools import combinations
-
-    triples = list(combinations(range(7), 3))
-
-    def constraint(x):
-        xw = liealg.form_action(x, w)
-        return np.array([xw[t] for t in triples])
-
-    k = stabilizer_subalgebra(so7, constraint, name="g2-in-so7")
-    if k.shape[0] != 14:
-        raise CatalogError("3-form stabilizer is not 14-dimensional")
-    return decompose(so7, k, ip=negative_killing(so7), name="sphere-s7")
+    return decompose(so7, three_form_stabilizer(), ip=negative_killing(so7),
+                     name="sphere-s7")
 
 
 @lru_cache(maxsize=None)
@@ -259,7 +256,7 @@ def build_lie_group(name: str) -> ReductiveSpace:
 
 
 def _embed_block(mat: np.ndarray, total: int, offset: int) -> np.ndarray:
-    out = np.zeros((total, total))
+    out = np.zeros((total, total), dtype=mat.dtype)
     n = mat.shape[0]
     out[offset:offset + n, offset:offset + n] = mat
     return out
@@ -275,45 +272,21 @@ def build_flag(family: str, ell: int, p: int) -> ReductiveSpace:
     """
     spec = FamilySpec(family, ell, p)
     d1, d2 = family_dims(spec)
-    if spec.family == "B":
-        ambient = build_so(2 * ell + 1)
-        rest = 2 * (ell - p) + 1
-        k_mats = [_embed_block(realify(z), 2 * ell + 1, 0) for z in u_complex_basis(p)]
-        k_mats += [
-            _embed_block(liealg._e_skew(rest, i, j), 2 * ell + 1, 2 * p)
-            for i, j in so_pairs(rest)
-        ] if rest >= 2 else []
-    elif spec.family == "D":
-        ambient = build_so(2 * ell)
-        rest = 2 * (ell - p)
-        k_mats = [_embed_block(realify(z), 2 * ell, 0) for z in u_complex_basis(p)]
-        k_mats += [
-            _embed_block(liealg._e_skew(rest, i, j), 2 * ell, 2 * p)
-            for i, j in so_pairs(rest)
-        ] if rest >= 2 else []
-    else:
+    if spec.family == "C":
         ambient = build_sp(ell)
-        rest = ell - p
-        # u(p) in the leading complex block of sp(l): Z1 = diag(A, 0), Z2 = 0
-        k_cplx = []
-        for z in u_complex_basis(p):
-            z1 = np.zeros((ell, ell), dtype=complex)
-            z1[:p, :p] = z
-            top = np.hstack([z1, np.zeros((ell, ell), dtype=complex)])
-            bot = np.hstack([np.zeros((ell, ell), dtype=complex), z1.conj()])
-            k_cplx.append(np.vstack([top, bot]))
-        # sp(l - p) in the trailing block
-        if rest >= 1:
-            for w in liealg._sp_complex_basis(rest):
-                z1s, z2s = w[:rest, :rest], w[:rest, rest:]
-                z1 = np.zeros((ell, ell), dtype=complex)
-                z2 = np.zeros((ell, ell), dtype=complex)
-                z1[p:, p:] = z1s
-                z2[p:, p:] = z2s
-                top = np.hstack([z1, z2])
-                bot = np.hstack([-z2.conj(), z1.conj()])
-                k_cplx.append(np.vstack([top, bot]))
-        k_mats = [realify(z) for z in k_cplx]
+        zero = np.zeros((ell, ell), dtype=complex)
+        # u(p) as Z1 = diag(A, 0), Z2 = 0, then sp(l - p) in the trailing block
+        blocks = [(_embed_block(z, ell, 0), zero) for z in u_complex_basis(p)]
+        blocks += [(_embed_block(z1, ell, p), _embed_block(z2, ell, p))
+                   for z1, z2 in liealg._sp_blocks(ell - p)]
+        k_mats = [realify(liealg._sp_embed(z1, z2)) for z1, z2 in blocks]
+    else:
+        n = 2 * ell + (spec.family == "B")
+        ambient = build_so(n)
+        rest = n - 2 * p
+        k_mats = [_embed_block(realify(z), n, 0) for z in u_complex_basis(p)]
+        k_mats += [_embed_block(liealg._e_skew(rest, i, j), n, 2 * p)
+                   for i, j in so_pairs(rest)]
     k_basis = np.array([ambient.coefficients(m) for m in k_mats])
     space = decompose(ambient, k_basis, ip=negative_killing(ambient),
                       name=f"flag-{spec.family}({ell},{p})")

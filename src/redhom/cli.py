@@ -120,6 +120,15 @@ def _scalar_str(v) -> str:
     return str(v)
 
 
+def _write(text: str, args) -> None:
+    """Write text as it is to ``args.out`` if given, else to stdout."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        print(text, end="")
+
+
 def emit(obj, args) -> None:
     if args.format == "json":
         text = _to_json(obj)
@@ -127,11 +136,7 @@ def emit(obj, args) -> None:
         text = _to_csv(obj)
     else:
         text = _to_table(obj)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(text + "\n", args)
 
 
 # ---------------------------------------------------------------------------
@@ -167,38 +172,15 @@ def resolve_space(space_id: str, normalization: str | None):
 
 
 def cmd_catalog(args) -> int:
-    families = [args.family] if args.family else ["B", "C", "D"]
-    rows = []
-    for fam in families:
-        if args.killing_einstein:
-            rows.extend(catalog.killing_einstein_table(fam, args.lmax))
-        else:
-            spec_rows = []
-            lmin = {"B": 2, "C": 2, "D": 4}[fam]
-            for ell in range(lmin, args.lmax + 1):
-                upper = {"B": ell, "C": ell - 1, "D": ell - 2}[fam]
-                lower = {"B": 2, "C": 1, "D": 2}[fam]
-                for p in range(lower, upper + 1):
-                    spec = catalog.FamilySpec(fam, ell, p)
-                    d1, d2 = catalog.family_dims(spec)
-                    spec_rows.append({
-                        "family": fam, "l": ell, "p": p,
-                        "name": catalog.family_name(fam, ell, p),
-                        "d1": d1, "d2": d2,
-                        "killing_einstein": catalog.killing_einstein_p(fam, ell) == p,
-                    })
-            rows.extend(spec_rows)
+    table = catalog.killing_einstein_table if args.killing_einstein else catalog.family_table
+    rows = [row for fam in (args.family or "BCD") for row in table(fam, args.lmax)]
     rows.sort(key=lambda r: (r["family"], r["l"], r["p"]))
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()) if rows else ["family"])
         writer.writeheader()
         writer.writerows(rows)
-        text = buf.getvalue()
-        if args.out:
-            open(args.out, "w").write(text)
-        else:
-            print(text, end="")
+        _write(buf.getvalue(), args)
     else:
         emit({"rows": rows, "named_spaces": catalog.known_ids()}, args)
     return EXIT_OK

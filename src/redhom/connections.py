@@ -188,16 +188,21 @@ def equivariance_residual(nm: NomizuMap) -> float:
     return float(np.abs(left - right).max())
 
 
+def derivation_action(L: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """D[z,x,y,d] of Lambda(Z)A(X,Y) - A(Lambda(Z)X,Y) - A(X,Lambda(Z)Y).
+
+    ``L`` holds Nomizu coefficients, ``a`` a 2-form A[x,y,c] on the same frame.
+    """
+    return (np.einsum("xyc,zcd->zxyd", a, L) - np.einsum("zxc,cyd->zxyd", L, a)
+            - np.einsum("zyc,xcd->zxyd", L, a))
+
+
 def derivation_defect(nm: NomizuMap) -> np.ndarray:
     """Leibniz defect D(Z,X,Y) of the map against the m-bracket (k = 0 spaces)."""
     if nm.space.dim_k != 0:
         raise ConnectionError_("derivation checks are for Lie group spaces")
     bm_f, _, _, _ = nm.frame_tables
-    L = nm.coeffs
-    term1 = np.einsum("xyc,zcd->zxyd", bm_f, L)
-    term2 = np.einsum("zxc,cyd->zxyd", L, bm_f)
-    term3 = np.einsum("zyc,xcd->zxyd", L, bm_f)
-    return term1 - term2 - term3
+    return derivation_action(nm.coeffs, bm_f)
 
 
 def is_derivation(nm: NomizuMap, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
@@ -210,9 +215,11 @@ def verify_stary(nm: NomizuMap, tol: float = DEFAULT_TOL) -> float:
     """Residual of the torsion/curvature identity for maps with Lambda(X)X = 0.
 
     The identity (nabla_Z T)(X,Y) = 2{R(Z,X)Y - Lambda(Y)([Z,X] - Lambda(Z)X)}
-    holds exactly when the map is a derivation; the returned residual is
-    its maximal defect over frame triples.
+    holds on Lie group spaces (k = 0) exactly when the map is a derivation;
+    the returned residual is its maximal defect over frame triples.
     """
+    if nm.space.dim_k != 0:
+        raise ConnectionError_("the identity is for Lie group spaces")
     ok, res = satisfies_stc(nm)
     if not ok:
         raise ConnectionError_(
@@ -221,14 +228,8 @@ def verify_stary(nm: NomizuMap, tol: float = DEFAULT_TOL) -> float:
     bm_f, _, _, _ = nm.frame_tables
     lam = lambda_matrices(nm)
     L = nm.coeffs
-    # torsion T(X,Y) = 2 Lambda(X)Y - [X,Y]
-    t3 = 2.0 * L - bm_f
-    # (nabla_Z T)(X,Y) = Lambda(Z)T(X,Y) - T(Lambda(Z)X, Y) - T(X, Lambda(Z)Y)
-    nt = (
-        np.einsum("xyc,zdc->zxyd", t3, lam)
-        - np.einsum("zxc,cyd->zxyd", L, t3)
-        - np.einsum("zyc,xcd->zxyd", L, t3)
-    )
+    # torsion T(X,Y) = 2 Lambda(X)Y - [X,Y], differentiated through the map
+    nt = derivation_action(L, 2.0 * L - bm_f)
     # curvature R(Z,X) = [Lambda(Z), Lambda(X)] - Lambda([Z,X])
     rmat = (
         np.einsum("zij,xjk->zxik", lam, lam)

@@ -24,6 +24,7 @@ from .reductive import (
 from .connections import (
     ConnectionError_,
     NomizuMap,
+    derivation_action,
     lambda_matrices,
     nomizu_alpha,
     nomizu_levi_civita_gt,
@@ -134,13 +135,7 @@ def nabla_torsion(nm: NomizuMap) -> np.ndarray:
     Invariant tensors differentiate through the map itself:
     (nabla_Z T)(X,Y) = Lambda(Z) T(X,Y) - T(Lambda(Z)X, Y) - T(X, Lambda(Z)Y).
     """
-    t3 = torsion(nm).components
-    L = nm.coeffs
-    return (
-        np.einsum("xyc,zcd->zxyd", t3, L)
-        - np.einsum("zxc,cyd->zxyd", L, t3)
-        - np.einsum("zyc,xcd->zxyd", L, t3)
-    )
+    return derivation_action(nm.coeffs, torsion(nm).components)
 
 
 def codifferential(nm: NomizuMap) -> Tensor2:

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .reductive import MetricSpec, ReductiveSpace, ReductiveError, casimir, check_inclusions
-from .curvature import _norm_sums, ricci_alpha_closed, ricci_st_closed
+from .reductive import ReductiveSpace, ReductiveError, casimir, check_inclusions
+from .curvature import Tensor2, _norm_sums, ricci_alpha_closed, ricci_st_closed
 
 
 @dataclass
@@ -51,19 +51,11 @@ def solve_quadratic(a: float, b: float, c: float, rel_tol: float = 1e-10):
     return tuple(sorted([(r1, 1), (r2, 1)])), disc, False
 
 
-def riemannian_quadratic(space: ReductiveSpace, q_k: np.ndarray | None = None,
-                         spread_tol: float = 1e-7) -> QuadraticReport:
-    """Einstein quadratic a t^2 + b t + c = 0 of the metric family g_t.
-
-    Coefficients come from the fixed-vector norm sums
-    a = -3P + Q - R, b = 2(P + Cas_1), c = -Cas_2; the report carries the
-    spread of the per-vector values as an irreducibility diagnostic.
-    """
+def _quadratic_sums(space: ReductiveSpace, q_k: np.ndarray | None,
+                    spread_tol: float) -> tuple:
+    """Mean norm sums P, Q, R, the Casimir and the spread of their per-vector values."""
     if len(space.summands) != 2:
-        raise ReductiveError("Einstein quadratic needs exactly two summands")
-    incl = check_inclusions(space)
-    if not incl["ok"]:
-        raise ReductiveError(f"bracket inclusions violated: {incl}")
+        raise ReductiveError("Einstein quadratics need exactly two summands")
     p, q, r = _norm_sums(space)
     cas = casimir(space, q_k=q_k)
     spread = float(max(np.ptp(p), np.ptp(q), np.ptp(r), cas.deviation))
@@ -72,7 +64,21 @@ def riemannian_quadratic(space: ReductiveSpace, q_k: np.ndarray | None = None,
             f"per-vector coefficient spread {spread:.3e} exceeds tolerance; "
             "summands are not irreducible or the split is wrong"
         )
-    pm, qm, rm = float(p.mean()), float(q.mean()), float(r.mean())
+    return float(p.mean()), float(q.mean()), float(r.mean()), cas, spread
+
+
+def riemannian_quadratic(space: ReductiveSpace, q_k: np.ndarray | None = None,
+                         spread_tol: float = 1e-7) -> QuadraticReport:
+    """Einstein quadratic a t^2 + b t + c = 0 of the metric family g_t.
+
+    Coefficients come from the fixed-vector norm sums
+    a = -3P + Q - R, b = 2(P + Cas_1), c = -Cas_2; the report carries the
+    spread of the per-vector values as an irreducibility diagnostic.
+    """
+    pm, qm, rm, cas, spread = _quadratic_sums(space, q_k, spread_tol)
+    incl = check_inclusions(space)
+    if not incl["ok"]:
+        raise ReductiveError(f"bracket inclusions violated: {incl}")
     cas1, cas2 = cas.constants
     a = -3.0 * pm + qm - rm
     b = 2.0 * (pm + cas1)
@@ -125,16 +131,8 @@ def solve_skew_quadratic(c_value: float, delta_cas: float,
 def skew_einstein_quadratic(space: ReductiveSpace, q_k: np.ndarray | None = None,
                             spread_tol: float = 1e-7) -> QuadraticReport:
     """Einstein-with-skew-torsion quadratic in s at the Killing metric."""
-    if len(space.summands) != 2:
-        raise ReductiveError("skew Einstein quadratic needs exactly two summands")
-    p, q, r = _norm_sums(space)
-    cas = casimir(space, q_k=q_k)
-    spread = float(max(np.ptp(p), np.ptp(q), np.ptp(r), cas.deviation))
-    if spread > spread_tol:
-        raise ReductiveError(
-            f"per-vector coefficient spread {spread:.3e} exceeds tolerance"
-        )
-    c_value = float(p.mean() + q.mean() - r.mean())
+    pm, qm, rm, cas, spread = _quadratic_sums(space, q_k, spread_tol)
+    c_value = pm + qm - rm
     delta_cas = cas.constants[0] - cas.constants[1]
     report = solve_skew_quadratic(c_value, delta_cas)
     report.spread = spread
@@ -146,31 +144,28 @@ def skew_einstein_quadratic(space: ReductiveSpace, q_k: np.ndarray | None = None
 # residual checks
 
 
+def einstein_defect(ric: Tensor2) -> float:
+    """Max deviation of a Ricci tensor from (Scal/n) g over its frame."""
+    n = ric.components.shape[0]
+    return float(np.abs(ric.components - (ric.scalar / n) * np.eye(n)).max())
+
+
 def riemannian_root_residual(space: ReductiveSpace, t: float,
                              q_k: np.ndarray | None = None) -> float:
     """Einstein defect of g_t: deviation of the Riemannian Ricci from c*g_t."""
-    ric = ricci_st_closed(space, 1.0, t, q_k=q_k).components
-    n = ric.shape[0]
-    c = float(np.trace(ric)) / n
-    return float(np.abs(ric - c * np.eye(n)).max())
+    return einstein_defect(ricci_st_closed(space, 1.0, t, q_k=q_k))
 
 
 def skew_root_residual(space: ReductiveSpace, s: float,
                        q_k: np.ndarray | None = None) -> float:
     """Einstein defect of nabla^{s,1/2} against the Killing metric."""
-    ric = ricci_st_closed(space, s, 0.5, q_k=q_k).components
-    n = ric.shape[0]
-    c = float(np.trace(ric)) / n
-    return float(np.abs(ric - c * np.eye(n)).max())
+    return einstein_defect(ricci_st_closed(space, s, 0.5, q_k=q_k))
 
 
 def nabla_alpha_einstein_residual(space: ReductiveSpace, alpha: float,
                                   q_k: np.ndarray | None = None) -> float:
     """Max deviation of Ric^alpha from (Scal/n) g on the Killing metric."""
-    ric = ricci_alpha_closed(space, alpha, q_k=q_k)
-    n = ric.components.shape[0]
-    target = (ric.scalar / n) * np.eye(n)
-    return float(np.abs(ric.components - target).max())
+    return einstein_defect(ricci_alpha_closed(space, alpha, q_k=q_k))
 
 
 def thm4_identity_residual(space: ReductiveSpace, q_k: np.ndarray | None = None) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
@@ -360,27 +360,25 @@ def build_u(n: int) -> LieAlgebra:
     return from_basis(f"u({n})", [realify(z) for z in u_complex_basis(n)])
 
 
-def _sp_complex_basis(n: int):
-    """sp(n) inside u(2n): blocks [[Z1, Z2], [-conj(Z2), conj(Z1)]]."""
-    out = []
+def _sp_embed(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """The block [[Z1, Z2], [-conj(Z2), conj(Z1)]] of sp(n) inside u(2n)."""
+    return np.block([[z1, z2], [-z2.conj(), z1.conj()]])
 
-    def embed(z1, z2):
-        top = np.hstack([z1, z2])
-        bot = np.hstack([-z2.conj(), z1.conj()])
-        return np.vstack([top, bot])
 
+def _sp_blocks(n: int):
+    """(Z1, Z2) of the sp(n) basis: u(n) in Z1, then symmetric Z2 per pair i <= j."""
     zero = np.zeros((n, n), dtype=complex)
-    for z1 in u_complex_basis(n):
-        out.append(embed(z1, zero))
-    for i in range(n):
-        for j in range(i, n):
-            s = np.zeros((n, n), dtype=complex)
-            s[i, j] = s[j, i] = 1.0
-            out.append(embed(zero, s))
-            s = np.zeros((n, n), dtype=complex)
-            s[i, j] = s[j, i] = 1.0j
-            out.append(embed(zero, s))
+    out = [(z1, zero) for z1 in u_complex_basis(n)]
+    for (i, j), value in product(combinations_with_replacement(range(n), 2), (1.0, 1.0j)):
+        s = np.zeros((n, n), dtype=complex)
+        s[i, j] = s[j, i] = value
+        out.append((zero, s))
     return out
+
+
+def _sp_complex_basis(n: int):
+    """sp(n) inside u(2n), one ``_sp_embed`` block per ``_sp_blocks`` pair."""
+    return [_sp_embed(z1, z2) for z1, z2 in _sp_blocks(n)]
 
 
 @lru_cache(maxsize=None)
@@ -473,8 +471,8 @@ def vector_annihilator_constraint(v) -> callable:
 
 
 @lru_cache(maxsize=None)
-def build_g2() -> LieAlgebra:
-    """g2 as the stabilizer of the associative 3-form inside so(7)."""
+def three_form_stabilizer() -> np.ndarray:
+    """so(7) coefficients (read-only rows) of the associative 3-form's stabilizer."""
     so7 = build_so(7)
     w = three_form()
     triples = list(combinations(range(7), 3))
@@ -489,7 +487,13 @@ def build_g2() -> LieAlgebra:
             f"3-form stabilizer has dimension {coeffs.shape[0]}, expected 14 "
             "(check the 3-form convention)"
         )
-    mats = np.einsum("ki,iab->kab", coeffs, so7.basis)
+    return _read_only(coeffs)
+
+
+@lru_cache(maxsize=None)
+def build_g2() -> LieAlgebra:
+    """g2 as the stabilizer of the associative 3-form inside so(7)."""
+    mats = np.einsum("ki,iab->kab", three_form_stabilizer(), build_so(7).basis)
     return from_basis("g2", mats)
 
 

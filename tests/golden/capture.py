@@ -4,7 +4,10 @@ Each command runs in-process with ``--format json``; its exit code, argv
 and parsed output go to ``<name>.json`` next to this script.  Run it
 against the source tree whose outputs should become the reference:
 
-    PYTHONPATH=<tree>/src python tests/golden/capture.py
+    PYTHONPATH=<tree>/src python tests/golden/capture.py [name ...]
+
+With names, only those files are rewritten; an unknown name exits 2.
+With none, every file is.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import contextlib
 import io
 import json
 import pathlib
+import sys
 
 from redhom.cli import main
 
@@ -32,6 +36,8 @@ COMMANDS = {
     "tensor_ricci_flag_b54_s1_t07": ["tensor", "ricci", "--space", "flag-B(5,4)",
                                      "--s", "1", "--t", "0.7"],
     "space_build_flag_c53": ["space", "build", "flag-C(5,3)"],
+    "catalog_lmax6": ["catalog", "list", "--lmax", "6"],
+    "check_all": ["check", "--all"],
 }
 
 
@@ -44,8 +50,15 @@ def run(argv):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(COMMANDS)
+    unknown = [name for name in names if name not in COMMANDS]
+    if unknown:
+        print(f"unknown golden name(s): {', '.join(unknown)}; "
+              f"known: {', '.join(COMMANDS)}", file=sys.stderr)
+        sys.exit(2)
     here = pathlib.Path(__file__).resolve().parent
-    for name, argv in COMMANDS.items():
+    for name in names:
+        argv = COMMANDS[name]
         code, output = run(argv)
         record = {"argv": argv, "exit_code": code, "output": output}
         (here / f"{name}.json").write_text(json.dumps(record, indent=1) + "\n")

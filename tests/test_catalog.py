@@ -8,6 +8,7 @@ from redhom.catalog import (
     build_space,
     family_dims,
     family_name,
+    family_table,
     killing_einstein_p,
     killing_einstein_table,
     parse_id,
@@ -109,6 +110,19 @@ def test_killing_einstein_tables_match_published_rows():
         (7, 5, "SO(14)/U(5)xSO(4)"),
         (10, 7, "SO(20)/U(7)xSO(6)"),
     ]
+
+
+@pytest.mark.parametrize("family", ["B", "C", "D"])
+def test_family_table_rows_are_the_accepted_parameters(family):
+    accepted = []
+    for ell in range(11):
+        for p in range(ell + 2):
+            try:
+                FamilySpec(family, ell, p)
+            except CatalogError:
+                continue
+            accepted.append((ell, p))
+    assert [(r["l"], r["p"]) for r in family_table(family, 10)] == accepted
 
 
 def test_family_name_trivial_factors():

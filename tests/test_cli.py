@@ -150,6 +150,13 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(target.read_text())
     assert data["result"]["dimension"] == 0
+    # the file holds the bytes stdout would
+    for argv in (("--format", "csv", "catalog", "list"),
+                 ("--format", "json", "einstein", "skew", "--space", "cp3")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out
+        assert run_cli(capsys, "--out", str(target), *argv) == (0, "", "")
+        assert target.read_bytes() == out.encode()
 
 
 def test_normalization_override(capsys):

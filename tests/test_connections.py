@@ -234,6 +234,13 @@ def test_verify_stary_zero_map(su2_group):
     assert verify_stary(nomizu_alpha(su2_group, 1.0)) == 0.0
 
 
+def test_verify_stary_rejects_spaces_with_isotropy(cp3, sphere_s7):
+    # the identity leaves out the ad([Z,X]_k) curvature term, so k must vanish
+    for sp in (cp3, sphere_s7):
+        with pytest.raises(ConnectionError_, match="Lie group"):
+            verify_stary(nomizu_alpha(sp, 0.0))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_stc_rank_mu_only(n):
     out = linear_combination_stc_rank(n)

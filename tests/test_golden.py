@@ -7,6 +7,7 @@ homdim singular-value gap only has to stay above the rank-gap minimum:
 both are rounding noise whose digits carry no meaning.
 """
 
+import importlib.util
 import json
 import math
 import pathlib
@@ -49,6 +50,13 @@ def _assert_checks(got, want):
         for key in ("space", "check", "tolerance", "ok"):
             assert g[key] == w[key], (w["check"], key)
         assert (g["residual"] < g["tolerance"]) == w["ok"], w["check"]
+
+
+def test_capture_commands_are_the_golden_files():
+    spec = importlib.util.spec_from_file_location("capture", GOLDEN[0].parent / "capture.py")
+    capture = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(capture)
+    assert sorted(capture.COMMANDS) == [p.stem for p in GOLDEN]
 
 
 @pytest.mark.parametrize("path", GOLDEN, ids=[p.stem for p in GOLDEN])
