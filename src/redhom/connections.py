@@ -30,10 +30,11 @@ from .reductive import (
     ReductiveSpace,
     ReductiveError,
     check_inclusions,
-    frame_rescale,
-    frame_sigma,
     frame_tables,
     lie_group_space,
+    rescale_factors,
+    scale_blocks,
+    summand_sigma,
 )
 
 
@@ -41,14 +42,24 @@ class ConnectionError_(ValueError):
     """Invalid connection construction or check precondition."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class NomizuMap:
-    """Coefficients of an invariant connection over a metric frame."""
+    """Coefficients of an invariant connection over a metric frame.
+
+    The coefficients are read-only, so the tables cached on the map cannot
+    go stale; a writeable or borrowed array is copied first.
+    """
 
     space: ReductiveSpace
     metric: MetricSpec
     coeffs: np.ndarray           # (M, M, M): Lambda(E_a)E_b = sum_c coeffs[a,b,c] E_c
     label: str = ""
+
+    def __post_init__(self):
+        coeffs = np.asarray(self.coeffs, dtype=float)
+        if coeffs.flags.writeable or not coeffs.flags.owndata:
+            coeffs = _read_only(coeffs.copy())
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def dim(self) -> int:
@@ -59,12 +70,17 @@ class NomizuMap:
         """``frame_tables(space, metric)`` computed once per map, read-only."""
         return tuple(_read_only(t) for t in frame_tables(self.space, self.metric))
 
+    @cached_property
+    def torsion_table(self) -> np.ndarray:
+        """T[a,b,c] = L[a,b,c] - L[b,a,c] - bm_f[a,b,c], once per map, read-only."""
+        bm_f = self.frame_tables[0]
+        return _read_only(self.coeffs - self.coeffs.transpose(1, 0, 2) - bm_f)
+
     def rescaled(self, metric: MetricSpec) -> "NomizuMap":
         """Same map expressed in the frame of another metric."""
-        s_old = frame_sigma(self.space, self.metric)
-        s_new = frame_sigma(self.space, metric)
-        coeffs = frame_rescale(self.coeffs, s_new / s_old)
-        return NomizuMap(self.space, metric, coeffs, self.label)
+        r = summand_sigma(self.space, metric) / summand_sigma(self.space, self.metric)
+        coeffs = scale_blocks(self.space, self.coeffs, rescale_factors(r))
+        return NomizuMap(self.space, metric, _read_only(coeffs), self.label)
 
 
 # ---------------------------------------------------------------------------
@@ -78,34 +94,41 @@ def nomizu_alpha(space: ReductiveSpace, alpha: float) -> NomizuMap:
     Levi-Civita connection of the naturally reductive metric.
     """
     metric = MetricSpec.killing(space.nsummands)
-    coeffs = 0.5 * (1.0 - alpha) * space.bm
+    coeffs = _read_only(0.5 * (1.0 - alpha) * space.bm)
     return NomizuMap(space, metric, coeffs, label=f"alpha={alpha:g}")
 
 
-def nomizu_levi_civita_gt(space: ReductiveSpace, t: float) -> NomizuMap:
-    """Levi-Civita Nomizu map of the two-summand metric family g_t."""
+def _nomizu_gt(space: ReductiveSpace, s: float, t: float, label: str) -> NomizuMap:
+    """s times the Levi-Civita Nomizu map of g_t, in the g_t frame.
+
+    Over the ip-orthonormal basis the map is blockwise a multiple of the
+    m-bracket: (1/2)[X, X']_{m2}, t[X, Y] and (1 - t)[Y, X] for X, X' in
+    m1 and Y in m2, and zero on m2 x m2.  Each block is written once, with
+    s and the frame rescaling folded into its scalar.
+    """
     if len(space.summands) != 2:
         raise ConnectionError_("the g_t family needs exactly two summands")
     incl = check_inclusions(space)
     if not incl["ok"]:
         raise ConnectionError_(f"bracket inclusions violated: {incl}")
     metric = MetricSpec.g_t(t)
-    s1, s2 = space.summand_slices()
-    idx = space.summand_index()
-    m2_mask = (idx == 1).astype(float)
-    raw = np.zeros_like(space.bm)
-    # values over the ip-orthonormal basis, blockwise in the inputs
-    raw[s1, s1, :] = 0.5 * space.bm[s1, s1, :] * m2_mask
-    raw[s1, s2, :] = t * space.bm[s1, s2, :]
-    raw[s2, s1, :] = (1.0 - t) * space.bm[s2, s1, :]
-    coeffs = frame_rescale(raw, frame_sigma(space, metric))
-    return NomizuMap(space, metric, coeffs, label=f"levi-civita t={t:g}")
+    weights = np.zeros((2, 2, 2))        # per summand triple (input, input, output)
+    weights[0, 0, 1] = 0.5
+    weights[0, 1, :] = t
+    weights[1, 0, :] = 1.0 - t
+    factors = s * weights * rescale_factors(summand_sigma(space, metric))
+    coeffs = _read_only(scale_blocks(space, space.bm, factors))
+    return NomizuMap(space, metric, coeffs, label=label)
+
+
+def nomizu_levi_civita_gt(space: ReductiveSpace, t: float) -> NomizuMap:
+    """Levi-Civita Nomizu map of the two-summand metric family g_t."""
+    return _nomizu_gt(space, 1.0, t, f"levi-civita t={t:g}")
 
 
 def nomizu_st(space: ReductiveSpace, s: float, t: float) -> NomizuMap:
     """The two-parameter family s * Lambda_t; s = 0 canonical, s = 1 Levi-Civita."""
-    base = nomizu_levi_civita_gt(space, t)
-    return NomizuMap(space, base.metric, s * base.coeffs, label=f"s={s:g} t={t:g}")
+    return _nomizu_gt(space, s, t, f"s={s:g} t={t:g}")
 
 
 def biinvariant_family(space: ReductiveSpace, ideals, alphas) -> NomizuMap:

@@ -8,7 +8,7 @@ oracle against which the closed forms are tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,19 +77,14 @@ class Tensor2:
     def symmetry_residual(self) -> float:
         return float(np.abs(self.components - self.components.T).max())
 
-    def trace(self) -> float:
-        return float(np.trace(self.components))
-
 
 # ---------------------------------------------------------------------------
 # core assembly
 
 
 def torsion(nm: NomizuMap) -> Tensor3:
-    """T(X,Y) = Lambda(X)Y - Lambda(Y)X - [X,Y]_m over the frame."""
-    bm_f, _, _, _ = nm.frame_tables
-    t = nm.coeffs - nm.coeffs.transpose(1, 0, 2) - bm_f
-    return Tensor3(t, nm.metric, label=nm.label)
+    """T(X,Y) = Lambda(X)Y - Lambda(Y)X - [X,Y]_m over the frame (read-only)."""
+    return Tensor3(nm.torsion_table, nm.metric, label=nm.label)
 
 
 def curvature(nm: NomizuMap) -> Tensor31:
@@ -116,13 +111,16 @@ def ricci_oracle(nm: NomizuMap) -> Tensor2:
     Ric(X,Y) = sum_i R(X,E_i)E_i . Y for the curvature of ``curvature``,
     R(X,Y) = [Lambda(X),Lambda(Y)] - Lambda([X,Y]_m) - ad([X,Y]_k), with
     the trace index contracted before any m^4 tensor is formed:
-    Ric = Lambda.u - <Lambda,Lambda> - <bm_f,Lambda> - <bk_f,adk_f>, where
+    Ric = Lambda.u - <Lambda + bm_f,Lambda> - <bk_f,adk_f>, where
     u_j = sum_i Lambda[i,j,i] and <A,B>[x,y] = sum_{i,j} A[x,i,j] B[j,y,i].
+    Only the map and its frame tables are read.
     """
     bm_f, bk_f, adk_f, _ = nm.frame_tables
-    lam = lambda_matrices(nm)
-    u = np.einsum("iji->j", lam)
-    ric = lam @ u - _pair(lam, lam) - _pair(bm_f, lam)
+    L = nm.coeffs                                # Lambda[a,i,j] = L[a,j,i]
+    u = np.einsum("iij->j", L)
+    # <Lambda + bm_f, Lambda> summed in (x,j,i) order against L as stored,
+    # so no transposed copy of L is made
+    ric = u @ L - np.tensordot(L + bm_f.transpose(0, 2, 1), L, ([1, 2], [0, 1]))
     if nm.space.dim_k:
         ric = ric - _pair(bk_f, adk_f)
     return Tensor2(ric, nm.metric, role="ricci", scalar=float(np.trace(ric)),
@@ -146,7 +144,7 @@ def codifferential(nm: NomizuMap) -> Tensor2:
     v_c = sum_i L[i,i,c], <v,T>[x,y] = sum_c v_c T[c,x,y] and
     <A,B>[x,y] = sum_{i,c} A[i,x,c] B[i,c,y].
     """
-    t3 = torsion(nm).components
+    t3 = nm.torsion_table
     L = nm.coeffs
     v = np.einsum("iic->c", L)
     dt = (np.tensordot(v, t3, 1) + np.tensordot(L, t3, ([0, 2], [0, 1]))
@@ -200,66 +198,50 @@ def s_tensor_alpha_closed(space: ReductiveSpace, alpha: float,
                    label=f"alpha={alpha:g}")
 
 
+def _st_coefficients(space: ReductiveSpace, s: float, t: float) -> tuple:
+    """Coefficients (k1, k2, k3) of w1, w2 and w3 in the closed forms of nabla^{s,t}."""
+    if len(space.summands) != 2:
+        raise ReductiveError("the closed form needs exactly two summands")
+    k1 = 0.5 * (s * s * t - 2.0 * s + 2.0 * s * t)
+    k2 = 0.5 * (s * s - s * s * t - s)
+    k3 = s * s * t - s * s * t * t - s * t
+    return k1, k2, k3
+
+
 def ricci_st_closed(space: ReductiveSpace, s: float, t: float,
                     q_k: np.ndarray | None = None) -> Tensor2:
     """Blockwise closed-form Ricci of the two-summand family nabla^{s,t}.
 
-    Components are returned over the g_t-orthonormal frame; the mixed
-    block vanishes identically.  The scalar curvature is stored on the
-    result.
+    Ric = k1 w1 + k2 w2 + A on m1 and k3 w3 + A on m2, with the bracket
+    contractions w of ``ReductiveSpace.bracket_sums`` and the Casimir
+    pairing A.  Components are returned over the g_t-orthonormal frame;
+    the mixed block vanishes identically.  The scalar curvature is stored
+    on the result.
     """
-    if len(space.summands) != 2:
-        raise ReductiveError("the closed form needs exactly two summands")
+    k1, k2, k3 = _st_coefficients(space, s, t)
     metric = MetricSpec.g_t(t)
     s1, s2 = space.summand_slices()
     cas = casimir(space, q_k=q_k)
-    bm = space.bm
-    m = space.dim_m
-    ric = np.zeros((m, m))
-
-    k1 = 0.5 * (s * s * t - 2.0 * s + 2.0 * s * t)
-    k2 = 0.5 * (s * s - s * s * t - s)
-    k3 = s * s * t - s * s * t * t - s * t
-
-    # block m1: sum_i <[[X, X_i]_{m2}, X_i], Y> and sum_k <[[X, Y_k], Y_k], Y>
-    w1 = np.tensordot(bm[s1, s1, s2], bm[s2, s1, s1], ([1, 2], [1, 0]))
-    w2 = np.tensordot(bm[s1, s2, :], bm[:, s2, s1], ([1, 2], [1, 0]))
-    ric[s1, s1] = k1 * w1 + k2 * w2 + cas.a_gram[s1, s1]
-
-    # block m2: sum_i <[[X, X_i], X_i]_{m2}, Y>
-    w3 = np.tensordot(bm[s2, s1, s1], bm[s1, s1, s2], ([1, 2], [1, 0]))
-    ric[s2, s2] = k3 * w3 + cas.a_gram[s2, s2]
-
+    w = space.bracket_sums
+    ric = np.zeros((space.dim_m, space.dim_m))
+    ric[s1, s1] = k1 * w.w1 + k2 * w.w2 + cas.a_gram[s1, s1]
+    ric[s2, s2] = k3 * w.w3 + cas.a_gram[s2, s2]
     sigma = frame_sigma(space, metric)
     ric = ric / np.outer(sigma, sigma)
     return Tensor2(ric, metric, role="ricci", scalar=float(np.trace(ric)),
                    label=f"s={s:g} t={t:g}")
 
 
-def _norm_sums(space: ReductiveSpace):
-    """Per-vector bracket norm sums (P_j, Q_j over m1; R_l over m2)."""
-    s1, s2 = space.summand_slices()
-    bm = space.bm
-    p = (bm[s1, s1, s2] ** 2).sum(axis=(1, 2))
-    q = (bm[s1, s2, :] ** 2).sum(axis=(1, 2))
-    r = (bm[s2, s1, :] ** 2).sum(axis=(1, 2))
-    return p, q, r
-
-
 def scalar_st_closed(space: ReductiveSpace, s: float, t: float,
                      q_k: np.ndarray | None = None) -> float:
     """Scalar curvature of nabla^{s,t} from the displayed norm sums."""
-    if len(space.summands) != 2:
-        raise ReductiveError("the closed form needs exactly two summands")
+    k1, k2, _ = _st_coefficients(space, s, t)
     sl1, sl2 = space.summand_slices()
     cas = casimir(space, q_k=q_k)
-    p, q, _ = _norm_sums(space)
-    p, q = float(p.sum()), float(q.sum())
+    w = space.bracket_sums
     a1 = float(np.trace(cas.a_gram[sl1, sl1]))
     a2 = float(np.trace(cas.a_gram[sl2, sl2]))
-    k1 = 0.5 * (s * s * t - 2.0 * s + 2.0 * s * t)
-    coeff_q = s * s - s * s * t - s
-    return -k1 * p - coeff_q * q + a1 + a2 / (2.0 * t)
+    return -k1 * float(w.p.sum()) - 2.0 * k2 * float(w.q.sum()) + a1 + a2 / (2.0 * t)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .reductive import ReductiveSpace, ReductiveError, casimir, check_inclusions
-from .curvature import Tensor2, _norm_sums, ricci_alpha_closed, ricci_st_closed
+from .curvature import Tensor2, ricci_alpha_closed, ricci_st_closed
 
 
 @dataclass
@@ -56,7 +56,8 @@ def _quadratic_sums(space: ReductiveSpace, q_k: np.ndarray | None,
     """Mean norm sums P, Q, R, the Casimir and the spread of their per-vector values."""
     if len(space.summands) != 2:
         raise ReductiveError("Einstein quadratics need exactly two summands")
-    p, q, r = _norm_sums(space)
+    sums = space.bracket_sums
+    p, q, r = sums.p, sums.q, sums.r
     cas = casimir(space, q_k=q_k)
     spread = float(max(np.ptp(p), np.ptp(q), np.ptp(r), cas.deviation))
     if spread > spread_tol:

@@ -9,8 +9,9 @@ All operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -154,6 +155,23 @@ class ReductiveSpace:
         """Negative Killing form of g restricted to the m-basis."""
         return _read_only(-(self.m_basis @ self.algebra.killing @ self.m_basis.T))
 
+    # -- cached per-space invariants (built on first use, then shared) --------
+
+    @cached_property
+    def casimir_data(self) -> "CasimirData":
+        """``casimir(self)`` for the default q_k (the identity on k)."""
+        return _casimir_data(self, np.eye(self.dim_k))
+
+    @cached_property
+    def inclusion_residuals(self):
+        """Read-only residuals of the four two-summand bracket inclusions."""
+        return MappingProxyType(_inclusion_residuals(self))
+
+    @cached_property
+    def bracket_sums(self) -> "BracketSums":
+        """Bracket contractions of the two-summand closed forms."""
+        return _bracket_sums(self)
+
     def validate(self, tol: float = 1e-8) -> dict:
         """Residuals of the reductive-space invariants."""
         g = self.ip.gram
@@ -229,14 +247,14 @@ def lie_group_space(algebra: LieAlgebra, ip: InnerProduct | None = None,
 # Casimir data
 
 
-@dataclass
+@dataclass(frozen=True)
 class CasimirData:
     """Casimir operator of the isotropy action and per-summand constants."""
 
-    operator: np.ndarray          # (M, M) over the m-basis
+    operator: np.ndarray          # (M, M) over the m-basis, read-only
     constants: tuple              # one scalar per summand
     deviation: float              # max departure from blockwise scalar
-    a_gram: np.ndarray            # A(Z_i, Z_j) = <C Z_i, Z_j>
+    a_gram: np.ndarray            # A(Z_i, Z_j) = <C Z_i, Z_j>, read-only
 
 
 def casimir(space: ReductiveSpace, q_k: np.ndarray | None = None) -> CasimirData:
@@ -244,15 +262,19 @@ def casimir(space: ReductiveSpace, q_k: np.ndarray | None = None) -> CasimirData
 
     ``q_k`` is a gram matrix over the space's (orthonormalized) k-basis;
     the default is the restriction of the space inner product, i.e. the
-    identity.  Constants are mean diagonal entries per summand.
+    identity, whose data the space computes once.  An explicit ``q_k`` is
+    never cached.  Constants are mean diagonal entries per summand.
     """
     if q_k is None:
-        qinv = np.eye(space.dim_k)
-    else:
-        q_k = np.asarray(q_k, dtype=float)
-        if np.abs(np.linalg.det(q_k)) < 1e-14:
-            raise ReductiveError("q_k is degenerate on k")
-        qinv = np.linalg.inv(q_k)
+        return space.casimir_data
+    q_k = np.asarray(q_k, dtype=float)
+    if np.abs(np.linalg.det(q_k)) < 1e-14:
+        raise ReductiveError("q_k is degenerate on k")
+    return _casimir_data(space, np.linalg.inv(q_k))
+
+
+def _casimir_data(space: ReductiveSpace, qinv: np.ndarray) -> CasimirData:
+    """Casimir data for the inverse gram matrix ``qinv`` of q_k."""
     adk = space.adk
     # -qinv rather than a negated product: an empty k gives +0.0, not -0.0
     op = np.tensordot(adk, np.tensordot(-qinv, adk, (1, 0)), ((0, 2), (0, 1)))
@@ -268,8 +290,45 @@ def casimir(space: ReductiveSpace, q_k: np.ndarray | None = None) -> CasimirData
     off = op[idx[:, None] != idx[None, :]]
     if off.size:
         deviation = max(deviation, float(np.abs(off).max()))
-    a_gram = op.T.copy()
-    return CasimirData(op, tuple(constants), deviation, a_gram)
+    return CasimirData(_read_only(op), tuple(constants), deviation,
+                       _read_only(op.T.copy()))
+
+
+@dataclass(frozen=True)
+class BracketSums:
+    """Bracket contractions of a two-summand space m = m1 + m2, read-only.
+
+    Over the ip-orthonormal basis {X_i} of m1 and {Y_k} of m2:
+    w1[x,y] = sum_i <[[X_x, X_i]_{m2}, X_i], X_y>,
+    w2[x,y] = sum_k <[[X_x, Y_k], Y_k], X_y>,
+    w3[x,y] = sum_i <[[Y_x, X_i], X_i]_{m2}, Y_y>, and the per-vector norm
+    sums p_j = sum |[X_j, X_i]_{m2}|^2, q_j = sum |[X_j, Y_k]|^2 over m1,
+    r_l = sum |[Y_l, X_i]|^2 over m2.
+    """
+
+    w1: np.ndarray
+    w2: np.ndarray
+    w3: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
+
+
+def _bracket_sums(space: ReductiveSpace) -> BracketSums:
+    """The contractions behind ``ReductiveSpace.bracket_sums``."""
+    if len(space.summands) != 2:
+        raise ReductiveError("the closed forms need exactly two summands")
+    s1, s2 = space.summand_slices()
+    bm = space.bm
+    sums = (
+        np.tensordot(bm[s1, s1, s2], bm[s2, s1, s1], ([1, 2], [1, 0])),
+        np.tensordot(bm[s1, s2, :], bm[:, s2, s1], ([1, 2], [1, 0])),
+        np.tensordot(bm[s2, s1, s1], bm[s1, s1, s2], ([1, 2], [1, 0])),
+        (bm[s1, s1, s2] ** 2).sum(axis=(1, 2)),
+        (bm[s1, s2, :] ** 2).sum(axis=(1, 2)),
+        (bm[s2, s1, :] ** 2).sum(axis=(1, 2)),
+    )
+    return BracketSums(*(_read_only(a) for a in sums))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +375,7 @@ def _inclusion_residuals(space: ReductiveSpace) -> dict:
 
 def check_inclusions(space: ReductiveSpace, tol: float = 1e-8) -> dict:
     """Per-inclusion residuals and booleans for a two-summand space."""
-    res = _inclusion_residuals(space)
+    res = space.inclusion_residuals
     out = {key: {"residual": val, "ok": bool(val < tol)} for key, val in res.items()}
     out["ok"] = bool(all(v["ok"] for v in out.values() if isinstance(v, dict)))
     return out
@@ -405,23 +464,40 @@ def verify_use1(space: ReductiveSpace, q_k: np.ndarray | None = None) -> dict:
             "b_identity": _max_abs(space.b_form - m_sum - 2.0 * cas.a_gram)}
 
 
-def frame_sigma(space: ReductiveSpace, metric: MetricSpec) -> np.ndarray:
-    """Per-m-index scale factors sqrt(scale) of the metric frame."""
+def summand_sigma(space: ReductiveSpace, metric: MetricSpec) -> np.ndarray:
+    """Per-summand scale factors sqrt(scale) of the metric frame."""
     if len(metric.scales) != space.nsummands:
         raise ReductiveError(
             f"metric has {len(metric.scales)} scales for {space.nsummands} summands"
         )
-    sigma = np.empty(space.dim_m)
-    for s, sl in zip(metric.scales, space.summand_slices()):
-        sigma[sl] = np.sqrt(s)
-    return sigma
+    return np.sqrt(metric.scales)
 
 
-def frame_rescale(table: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """table[a, b, c] * r[c] / (r[a] r[b]): a bracket-type table moved to
-    the frame whose vectors are the old ones divided by r."""
-    inv = 1.0 / r
-    return table * inv[:, None, None] * inv[None, :, None] * r
+def frame_sigma(space: ReductiveSpace, metric: MetricSpec) -> np.ndarray:
+    """Per-m-index scale factors sqrt(scale) of the metric frame."""
+    return np.repeat(summand_sigma(space, metric), space.summand_dims)
+
+
+def rescale_factors(r: np.ndarray) -> np.ndarray:
+    """f[a,b,c] = r[c] / (r[a] r[b]) over summand triples: the factor that
+    moves a bracket-type table to the frame whose vectors are the old ones
+    divided by the per-summand r."""
+    return r[None, None, :] / np.multiply.outer(r, r)[:, :, None]
+
+
+def scale_blocks(space: ReductiveSpace, table: np.ndarray,
+                 factors: np.ndarray) -> np.ndarray:
+    """table[A,B,C] * factors[a,b,c] on each summand-triple block (A,B,C).
+
+    One pass over the table: the rows of summand a are multiplied at once
+    by the (M, M) matrix that spreads factors[a] over the (b, c) blocks.
+    """
+    dims = space.summand_dims
+    out = np.empty_like(table)
+    for a, sa in enumerate(space.summand_slices()):
+        spread = np.repeat(np.repeat(factors[a], dims, axis=0), dims, axis=1)
+        np.multiply(table[sa], spread, out=out[sa])
+    return out
 
 
 def frame_tables(space: ReductiveSpace, metric: MetricSpec):
@@ -431,9 +507,10 @@ def frame_tables(space: ReductiveSpace, metric: MetricSpec):
     coefficients of [E_a,E_b]_m, bk_f[a,b,:] the k-coefficients of
     [E_a,E_b]_k, and adk_f[w] the frame matrix of ad(k_w) on m.
     """
-    sigma = frame_sigma(space, metric)
+    r = summand_sigma(space, metric)
+    sigma = np.repeat(r, space.summand_dims)
     inv = 1.0 / sigma
-    bm_f = frame_rescale(space.bm, sigma)
+    bm_f = scale_blocks(space, space.bm, rescale_factors(r))
     bk_f = space.bk * np.outer(inv, inv)[:, :, None]
     adk_f = space.adk * np.outer(sigma, inv)
     return bm_f, bk_f, adk_f, sigma

@@ -1,0 +1,220 @@
+"""Per-space caches and the one-pass frame tables.
+
+A space computes its default Casimir data, its bracket-inclusion residuals
+and the bracket contractions of the two-summand closed forms once, as
+read-only cached properties; a Nomizu map computes its frame tables and
+torsion once.  The one-pass builders are checked against the three-pass
+rescaling they replaced, which is kept here as the reference.
+"""
+
+import dataclasses
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from redhom import catalog, curvature as curvature_module, einstein, reductive
+from redhom.connections import NomizuMap, nomizu_levi_civita_gt, nomizu_st
+from redhom.curvature import (
+    codifferential,
+    curvature,
+    ricci_oracle,
+    ricci_st_closed,
+    scalar_st_closed,
+    torsion,
+)
+from redhom.reductive import MetricSpec, casimir, check_inclusions, frame_sigma, frame_tables
+
+ST_POINTS = ((1.7, 0.8), (-0.6, 0.5), (2.9, 0.3), (1.0, 1.4))
+
+
+def frame_rescale(table, r):
+    """table[a, b, c] * r[c] / (r[a] r[b]) in three broadcast passes."""
+    inv = 1.0 / r
+    return table * inv[:, None, None] * inv[None, :, None] * r
+
+
+def reference_nomizu_st(space, s, t):
+    """Coefficients of nabla^{s,t}: masked block writes, rescaling, then s."""
+    s1, s2 = space.summand_slices()
+    m2_mask = (space.summand_index() == 1).astype(float)
+    raw = np.zeros_like(space.bm)
+    raw[s1, s1, :] = 0.5 * space.bm[s1, s1, :] * m2_mask
+    raw[s1, s2, :] = t * space.bm[s1, s2, :]
+    raw[s2, s1, :] = (1.0 - t) * space.bm[s2, s1, :]
+    return s * frame_rescale(raw, frame_sigma(space, MetricSpec.g_t(t)))
+
+
+def _rel(got, ref):
+    return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
+def _fresh(space):
+    """A copy of ``space`` with none of its cached properties computed."""
+    return dataclasses.replace(space)
+
+
+@pytest.fixture(scope="module", params=["flag-B(5,4)", "flag-C(5,3)", "flag-D(6,4)",
+                                        "flag-B(2,2)", "cp3"])
+def two_summand(request):
+    return catalog.build_space(request.param)
+
+
+# ---------------------------------------------------------------------------
+# one-pass tables against the three-pass reference
+
+
+def test_one_pass_nomizu_matches_three_pass_reference(two_summand):
+    for s, t in ST_POINTS:
+        assert _rel(nomizu_st(two_summand, s, t).coeffs,
+                    reference_nomizu_st(two_summand, s, t)) <= 1e-15
+    assert _rel(nomizu_levi_civita_gt(two_summand, 0.7).coeffs,
+                reference_nomizu_st(two_summand, 1.0, 0.7)) <= 1e-15
+
+
+def test_one_pass_frame_bracket_matches_three_pass_reference(two_summand):
+    for _, t in ST_POINTS:
+        metric = MetricSpec.g_t(t)
+        bm_f = frame_tables(two_summand, metric)[0]
+        assert _rel(bm_f, frame_rescale(two_summand.bm,
+                                        frame_sigma(two_summand, metric))) <= 1e-15
+
+
+def test_rescaled_map_matches_three_pass_reference(two_summand):
+    nm = nomizu_st(two_summand, 1.3, 0.4)
+    metric = MetricSpec.g_t(0.9)
+    ratio = frame_sigma(two_summand, metric) / frame_sigma(two_summand, nm.metric)
+    assert _rel(nm.rescaled(metric).coeffs, frame_rescale(nm.coeffs, ratio)) <= 1e-15
+
+
+def test_oracle_is_the_trace_of_the_full_curvature(cp3, flag_b54):
+    for space in (cp3, flag_b54):
+        for s, t in ST_POINTS[:2]:
+            nm = nomizu_st(space, s, t)
+            ref = np.einsum("xiiy->xy", curvature(nm).components)
+            got = ricci_oracle(nm).components
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_oracle_reads_no_closed_form_quantity(monkeypatch, flag_b54):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle read a closed-form quantity")
+
+    space = _fresh(flag_b54)
+    monkeypatch.setattr(reductive, "casimir", refuse)
+    monkeypatch.setattr(curvature_module, "casimir", refuse)
+    monkeypatch.setattr(reductive, "_casimir_data", refuse)
+    monkeypatch.setattr(reductive, "_bracket_sums", refuse)
+    nm = nomizu_st(space, 1.7, 0.8)
+    ric = ricci_oracle(nm)
+    codifferential(nm)
+    assert "casimir_data" not in vars(space) and "bracket_sums" not in vars(space)
+    monkeypatch.undo()
+    assert np.abs(ric.components - ricci_st_closed(space, 1.7, 0.8).components).max() < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# immutability and lifetime
+
+
+def test_cached_casimir_is_frozen_and_read_only(flag_c53):
+    cas = casimir(flag_c53)
+    assert casimir(flag_c53) is cas is flag_c53.casimir_data
+    for arr in (cas.operator, cas.a_gram):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cas.constants = (0.0, 0.0)
+
+
+def test_cached_bracket_data_is_read_only(flag_c53):
+    sums = flag_c53.bracket_sums
+    assert flag_c53.bracket_sums is sums
+    for field in dataclasses.fields(sums):
+        with pytest.raises(ValueError):
+            getattr(sums, field.name)[0] = 1.0
+    with pytest.raises(TypeError):
+        flag_c53.inclusion_residuals["m2_m2_in_k"] = 0.0
+    report = check_inclusions(flag_c53)
+    report["ok"] = False                     # the caller's copy, not the cache
+    assert check_inclusions(flag_c53)["ok"]
+
+
+def test_nomizu_coefficients_and_torsion_are_read_only(cp3):
+    nm = nomizu_st(cp3, 2.0, 0.6)
+    assert torsion(nm).components is nm.torsion_table
+    for arr in (nm.coeffs, nm.torsion_table):
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        nm.coeffs = np.zeros_like(nm.coeffs)
+
+
+def test_nomizu_map_copies_a_writeable_array(cp3):
+    coeffs = np.random.default_rng(3).standard_normal((cp3.dim_m,) * 3)
+    nm = NomizuMap(cp3, MetricSpec.g_t(0.5), coeffs, "random")
+    before = nm.torsion_table.copy()
+    coeffs[0, 0, 0] += 1.0                    # the caller's array stays writeable
+    assert np.array_equal(nm.torsion_table, before)
+    assert not np.shares_memory(nm.coeffs, coeffs)
+
+
+def test_explicit_qk_is_computed_not_cached(cp3):
+    space = _fresh(cp3)
+    q_k = np.diag(np.linspace(0.5, 2.0, space.dim_k))
+    cas = casimir(space, q_k=q_k)
+    assert "casimir_data" not in vars(space)
+    qinv = np.linalg.inv(q_k)
+    ref = -np.einsum("ab,axj,bjy->xy", qinv, space.adk, space.adk)
+    assert np.abs(cas.operator - ref).max() < 1e-14
+    assert np.array_equal(cas.a_gram, cas.operator.T)
+    assert casimir(space, q_k=q_k) is not cas
+    assert casimir(space, q_k=2.0 * np.eye(space.dim_k)).constants == pytest.approx(
+        [c / 2.0 for c in casimir(space).constants], rel=1e-14)
+
+
+def test_dropped_space_is_freed(cp3):
+    space = _fresh(cp3)
+    nm = nomizu_st(space, 1.5, 0.7)
+    ricci_oracle(nm), codifferential(nm), ricci_st_closed(space, 1.5, 0.7)
+    scalar_st_closed(space, 1.5, 0.7)
+    einstein.riemannian_quadratic(space), einstein.skew_einstein_quadratic(space)
+    assert {"casimir_data", "inclusion_residuals", "bracket_sums"} <= set(vars(space))
+    ref = weakref.ref(space)
+    del space, nm
+    gc.collect()
+    assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# count guard
+
+
+def test_space_invariants_are_built_once_per_space(monkeypatch, flag_b54):
+    calls = {"casimir": 0, "sums": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(reductive, "_casimir_data",
+                        counted("casimir", reductive._casimir_data))
+    monkeypatch.setattr(reductive, "_bracket_sums",
+                        counted("sums", reductive._bracket_sums))
+    space = _fresh(flag_b54)
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        s, t = rng.uniform(-1.0, 3.0), rng.uniform(0.25, 1.5)
+        nm = nomizu_st(space, s, t)
+        torsion(nm), ricci_oracle(nm), codifferential(nm)
+        ricci_st_closed(space, s, t)
+    report = einstein.riemannian_quadratic(space)
+    for root in report.positive_roots:
+        einstein.riemannian_root_residual(space, root)
+    report = einstein.skew_einstein_quadratic(space)
+    for root in report.root_values:
+        einstein.skew_root_residual(space, root)
+    assert calls == {"casimir": 1, "sums": 1}
