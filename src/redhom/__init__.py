@@ -41,7 +41,6 @@ from .connections import (
     nomizu_levi_civita_gt,
     nomizu_st,
     satisfies_stc,
-    verify_stary,
 )
 from .curvature import (
     Tensor2,
@@ -56,6 +55,7 @@ from .curvature import (
     s_tensor,
     torsion,
     torsion_type,
+    verify_stary,
 )
 
 # the curvature() operation stays on its module to keep redhom.curvature

@@ -30,7 +30,8 @@ from .reductive import (
     ReductiveSpace,
     ReductiveError,
     check_inclusions,
-    frame_tables,
+    frame_bracket,
+    frame_k_tables,
     lie_group_space,
     rescale_factors,
     scale_blocks,
@@ -66,15 +67,29 @@ class NomizuMap:
         return self.coeffs.shape[0]
 
     @cached_property
+    def frame_bracket(self) -> np.ndarray:
+        """bm_f of ``frame_bracket(space, metric)``, once per map, read-only."""
+        return _read_only(frame_bracket(self.space, self.metric))
+
+    @cached_property
+    def swapped_coeffs(self) -> np.ndarray:
+        """One contiguous read-only copy of L[b,a,c], shared by the torsion
+        and the co-differential, whose contractions read it as a matrix."""
+        return _read_only(np.ascontiguousarray(self.coeffs.transpose(1, 0, 2)))
+
+    @cached_property
     def frame_tables(self) -> tuple:
-        """``frame_tables(space, metric)`` computed once per map, read-only."""
-        return tuple(_read_only(t) for t in frame_tables(self.space, self.metric))
+        """``frame_tables(space, metric)`` once per map, read-only; bm_f is
+        ``frame_bracket``."""
+        k_tables = (_read_only(t) for t in frame_k_tables(self.space, self.metric))
+        return (self.frame_bracket, *k_tables)
 
     @cached_property
     def torsion_table(self) -> np.ndarray:
         """T[a,b,c] = L[a,b,c] - L[b,a,c] - bm_f[a,b,c], once per map, read-only."""
-        bm_f = self.frame_tables[0]
-        return _read_only(self.coeffs - self.coeffs.transpose(1, 0, 2) - bm_f)
+        table = self.coeffs - self.swapped_coeffs
+        table -= self.frame_bracket
+        return _read_only(table)
 
     def rescaled(self, metric: MetricSpec) -> "NomizuMap":
         """Same map expressed in the frame of another metric."""
@@ -202,13 +217,12 @@ def equivariance_residual(nm: NomizuMap) -> float:
     if space.dim_k == 0:
         return 0.0
     _, _, adk_f, _ = nm.frame_tables
-    lam = lambda_matrices(nm)
-    # ad(W) Lambda(X) - Lambda(X) ad(W) - Lambda(ad(W) X) over k and frame X
-    left = np.einsum("wij,ajk->waik", adk_f, lam) - np.einsum(
-        "aij,wjk->waik", lam, adk_f
-    )
-    right = np.einsum("wca,cik->waik", adk_f, lam)
-    return float(np.abs(left - right).max())
+    L = nm.coeffs                                # Lambda(E_a)[i,j] = L[a,j,i]
+    # ad(W) Lambda(X) - Lambda(X) ad(W) - Lambda(ad(W) X), indexed [w,i,a,k]
+    defect = np.tensordot(adk_f, L, (2, 2))
+    defect -= np.tensordot(L, adk_f, (1, 1)).transpose(2, 1, 0, 3)
+    defect -= np.tensordot(adk_f, L, (1, 0)).transpose(0, 3, 1, 2)
+    return float(np.abs(defect, out=defect).max())
 
 
 def derivation_action(L: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -216,54 +230,23 @@ def derivation_action(L: np.ndarray, a: np.ndarray) -> np.ndarray:
 
     ``L`` holds Nomizu coefficients, ``a`` a 2-form A[x,y,c] on the same frame.
     """
-    return (np.einsum("xyc,zcd->zxyd", a, L) - np.einsum("zxc,cyd->zxyd", L, a)
-            - np.einsum("zyc,xcd->zxyd", L, a))
+    action = np.negative(np.tensordot(L, a, (2, 0)))
+    action += np.tensordot(a, L, (2, 1)).transpose(2, 0, 1, 3)
+    action -= np.tensordot(L, a, (2, 1)).transpose(0, 2, 1, 3)
+    return action
 
 
 def derivation_defect(nm: NomizuMap) -> np.ndarray:
     """Leibniz defect D(Z,X,Y) of the map against the m-bracket (k = 0 spaces)."""
     if nm.space.dim_k != 0:
         raise ConnectionError_("derivation checks are for Lie group spaces")
-    bm_f, _, _, _ = nm.frame_tables
-    return derivation_action(nm.coeffs, bm_f)
+    return derivation_action(nm.coeffs, nm.frame_bracket)
 
 
 def is_derivation(nm: NomizuMap, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Whether every Lambda(Z) is a derivation of the algebra."""
     residual = float(np.abs(derivation_defect(nm)).max())
     return residual < tol, residual
-
-
-def verify_stary(nm: NomizuMap, tol: float = DEFAULT_TOL) -> float:
-    """Residual of the torsion/curvature identity for maps with Lambda(X)X = 0.
-
-    The identity (nabla_Z T)(X,Y) = 2{R(Z,X)Y - Lambda(Y)([Z,X] - Lambda(Z)X)}
-    holds on Lie group spaces (k = 0) exactly when the map is a derivation;
-    the returned residual is its maximal defect over frame triples.
-    """
-    if nm.space.dim_k != 0:
-        raise ConnectionError_("the identity is for Lie group spaces")
-    ok, res = satisfies_stc(nm)
-    if not ok:
-        raise ConnectionError_(
-            f"the identity presumes Lambda(X)X = 0 (violated by {res:.3e})"
-        )
-    bm_f, _, _, _ = nm.frame_tables
-    lam = lambda_matrices(nm)
-    L = nm.coeffs
-    # torsion T(X,Y) = 2 Lambda(X)Y - [X,Y], differentiated through the map
-    nt = derivation_action(L, 2.0 * L - bm_f)
-    # curvature R(Z,X) = [Lambda(Z), Lambda(X)] - Lambda([Z,X])
-    rmat = (
-        np.einsum("zij,xjk->zxik", lam, lam)
-        - np.einsum("xij,zjk->zxik", lam, lam)
-        - np.einsum("zxc,cik->zxik", bm_f, lam)
-    )
-    r_term = rmat.transpose(0, 1, 3, 2)          # R(Z,X)Y components over Y
-    inner = bm_f - L                             # [Z,X] - Lambda(Z)X
-    lam_term = np.einsum("zxc,ycd->zxyd", inner, L)
-    rhs = 2.0 * (r_term - lam_term)
-    return float(np.abs(nt - rhs).max())
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .reductive import (
     casimir,
     frame_sigma,
     frame_tables,
+    summand_sigma,
 )
 from .connections import (
     ConnectionError_,
@@ -28,6 +29,7 @@ from .connections import (
     lambda_matrices,
     nomizu_alpha,
     nomizu_levi_civita_gt,
+    satisfies_stc,
 )
 
 
@@ -42,7 +44,8 @@ class Tensor3:
     def skew_residual(self) -> float:
         """Departure from total skewness (symmetric part in the last two slots)."""
         t = self.components
-        return float(np.abs(t + t.transpose(0, 2, 1)).max())
+        sym = t + t.transpose(0, 2, 1)
+        return float(np.abs(sym, out=sym).max())
 
     def is_totally_skew(self, tol: float = DEFAULT_TOL) -> bool:
         return self.skew_residual() < tol
@@ -100,9 +103,17 @@ def curvature(nm: NomizuMap) -> Tensor31:
     return Tensor31(rmat.transpose(0, 1, 3, 2), nm.metric, label=nm.label)
 
 
-def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<A,B>[x,y] = sum_{i,j} A[x,i,j] B[j,y,i]."""
-    return np.tensordot(a, b, ([1, 2], [2, 0]))
+def _isotropy_term(space: ReductiveSpace, metric: MetricSpec) -> np.ndarray:
+    """sum_{i,w} bk_f[x,i,w] adk_f[w,y,i] over the metric frame, from the
+    space's ``isotropy_pairs``: (sigma_y / sigma_x) sum_s P[s,x,y] / sigma_s^2."""
+    r = summand_sigma(space, metric)
+    sigma = frame_sigma(space, metric)
+    pairs = space.isotropy_pairs
+    weights = 1.0 / (r * r)
+    term = (weights @ pairs.reshape(len(r), -1)).reshape(pairs.shape[1:])
+    term /= sigma[:, None]
+    term *= sigma
+    return term
 
 
 def ricci_oracle(nm: NomizuMap) -> Tensor2:
@@ -113,16 +124,21 @@ def ricci_oracle(nm: NomizuMap) -> Tensor2:
     the trace index contracted before any m^4 tensor is formed:
     Ric = Lambda.u - <Lambda + bm_f,Lambda> - <bk_f,adk_f>, where
     u_j = sum_i Lambda[i,j,i] and <A,B>[x,y] = sum_{i,j} A[x,i,j] B[j,y,i].
-    Only the map and its frame tables are read.
+    It reads the map's coefficients, its ``frame_bracket`` bm_f, and the
+    space's ``isotropy_pairs`` for <bk_f,adk_f>, a table built from ``bk``
+    and ``adk`` alone; never the Casimir data or the bracket sums w of the
+    closed forms.
     """
-    bm_f, bk_f, adk_f, _ = nm.frame_tables
     L = nm.coeffs                                # Lambda[a,i,j] = L[a,j,i]
+    m = nm.dim
     u = np.einsum("iij->j", L)
-    # <Lambda + bm_f, Lambda> summed in (x,j,i) order against L as stored,
-    # so no transposed copy of L is made
-    ric = u @ L - np.tensordot(L + bm_f.transpose(0, 2, 1), L, ([1, 2], [0, 1]))
+    # <Lambda + bm_f,Lambda>[x,y] = sum_{i,j} (L[x,i,j] + bm_f[x,j,i]) L[i,j,y]:
+    # one GEMM of the summed (x, (i,j)) rows against L as stored
+    left = L + nm.frame_bracket.transpose(0, 2, 1)
+    ric = u @ L
+    ric -= left.reshape(m, -1) @ L.reshape(-1, m)
     if nm.space.dim_k:
-        ric = ric - _pair(bk_f, adk_f)
+        ric -= _isotropy_term(nm.space, nm.metric)
     return Tensor2(ric, nm.metric, role="ricci", scalar=float(np.trace(ric)),
                    label=nm.label)
 
@@ -142,14 +158,43 @@ def codifferential(nm: NomizuMap) -> Tensor2:
     The trace of ``nabla_torsion`` is contracted before any m^4 tensor is
     formed: delta T = <v,T> + <L,T> - <T,L> with L = ``nm.coeffs``,
     v_c = sum_i L[i,i,c], <v,T>[x,y] = sum_c v_c T[c,x,y] and
-    <A,B>[x,y] = sum_{i,c} A[i,x,c] B[i,c,y].
+    <A,B>[x,y] = sum_{i,c} A[i,x,c] B[i,c,y].  Each pairing is one GEMM
+    of A[i,x,c] read as (x, (i,c)) rows against B as stored; for A = L
+    those rows are the map's ``swapped_coeffs``.  T[b,a,c] = -T[a,b,c]
+    holds only to the rounding of the bracket table, so <T,L> reads a
+    transposed copy of T rather than -T.
     """
     t3 = nm.torsion_table
     L = nm.coeffs
+    m = nm.dim
     v = np.einsum("iic->c", L)
-    dt = (np.tensordot(v, t3, 1) + np.tensordot(L, t3, ([0, 2], [0, 1]))
-          - np.tensordot(t3, L, ([0, 2], [0, 1])))
+    t_rows = np.ascontiguousarray(t3.transpose(1, 0, 2)).reshape(m, -1)
+    dt = (v @ t3.reshape(m, -1)).reshape(m, m)
+    dt += nm.swapped_coeffs.reshape(m, -1) @ t3.reshape(-1, m)
+    dt -= t_rows @ L.reshape(-1, m)
     return Tensor2(dt, nm.metric, role="codifferential", label=nm.label)
+
+
+def verify_stary(nm: NomizuMap, tol: float = DEFAULT_TOL) -> float:
+    """Residual of the torsion/curvature identity for maps with Lambda(X)X = 0.
+
+    The identity (nabla_Z T)(X,Y) = 2{R(Z,X)Y - Lambda(Y)([Z,X] - Lambda(Z)X)}
+    holds on Lie group spaces (k = 0) exactly when the map is a derivation;
+    the returned residual is its maximal defect over frame triples.  Both
+    sides come from ``nabla_torsion`` and ``curvature``.
+    """
+    if nm.space.dim_k != 0:
+        raise ConnectionError_("the identity is for Lie group spaces")
+    ok, res = satisfies_stc(nm, tol)
+    if not ok:
+        raise ConnectionError_(
+            f"the identity presumes Lambda(X)X = 0 (violated by {res:.3e})"
+        )
+    # Lambda(Y)([Z,X] - Lambda(Z)X) components [z,x,y,d]
+    lam_term = np.tensordot(nm.frame_bracket - nm.coeffs, nm.coeffs, (2, 1))
+    rhs = curvature(nm).components - lam_term
+    rhs *= 2.0
+    return float(np.abs(nabla_torsion(nm) - rhs).max())
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +272,7 @@ def ricci_st_closed(space: ReductiveSpace, s: float, t: float,
     ric[s1, s1] = k1 * w.w1 + k2 * w.w2 + cas.a_gram[s1, s1]
     ric[s2, s2] = k3 * w.w3 + cas.a_gram[s2, s2]
     sigma = frame_sigma(space, metric)
-    ric = ric / np.outer(sigma, sigma)
+    ric /= np.outer(sigma, sigma)
     return Tensor2(ric, metric, role="ricci", scalar=float(np.trace(ric)),
                    label=f"s={s:g} t={t:g}")
 

@@ -172,6 +172,17 @@ class ReductiveSpace:
         """Bracket contractions of the two-summand closed forms."""
         return _bracket_sums(self)
 
+    @cached_property
+    def isotropy_pairs(self) -> np.ndarray:
+        """Read-only P[s,x,y] = sum_{i in m_s} sum_w bk[x,i,w] adk[w,y,i].
+
+        Shape (nsummands, M, M), from ``bk`` and ``adk`` alone.  In a frame
+        E_a = Z_a / sigma_a with sigma constant on each summand, the pairing
+        sum_{i,w} bk_f[x,i,w] adk_f[w,y,i] of the frame tables equals
+        (sigma_y / sigma_x) sum_s P[s,x,y] / sigma_s^2.
+        """
+        return _isotropy_pairs(self)
+
     def validate(self, tol: float = 1e-8) -> dict:
         """Residuals of the reductive-space invariants."""
         g = self.ip.gram
@@ -329,6 +340,14 @@ def _bracket_sums(space: ReductiveSpace) -> BracketSums:
         (bm[s2, s1, :] ** 2).sum(axis=(1, 2)),
     )
     return BracketSums(*(_read_only(a) for a in sums))
+
+
+def _isotropy_pairs(space: ReductiveSpace) -> np.ndarray:
+    """The per-summand pairings behind ``ReductiveSpace.isotropy_pairs``."""
+    bk, adk = space.bk, space.adk
+    pairs = [np.tensordot(bk[:, sl], adk[:, :, sl], ([1, 2], [2, 0]))
+             for sl in space.summand_slices()]
+    return _read_only(np.stack(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +512,25 @@ def scale_blocks(space: ReductiveSpace, table: np.ndarray,
     by the (M, M) matrix that spreads factors[a] over the (b, c) blocks.
     """
     dims = space.summand_dims
+    spread = np.repeat(np.repeat(factors, dims, axis=1), dims, axis=2)
     out = np.empty_like(table)
     for a, sa in enumerate(space.summand_slices()):
-        spread = np.repeat(np.repeat(factors[a], dims, axis=0), dims, axis=1)
-        np.multiply(table[sa], spread, out=out[sa])
+        np.multiply(table[sa], spread[a], out=out[sa])
     return out
+
+
+def frame_bracket(space: ReductiveSpace, metric: MetricSpec) -> np.ndarray:
+    """bm_f[a,b,c]: frame coefficients of [E_a,E_b]_m, E_a = Z_a / sigma_a."""
+    return scale_blocks(space, space.bm, rescale_factors(summand_sigma(space, metric)))
+
+
+def frame_k_tables(space: ReductiveSpace, metric: MetricSpec):
+    """(bk_f, adk_f, sigma): the k-part of ``frame_tables`` without bm_f."""
+    sigma = frame_sigma(space, metric)
+    inv = 1.0 / sigma
+    bk_f = space.bk * np.outer(inv, inv)[:, :, None]
+    adk_f = space.adk * np.outer(sigma, inv)
+    return bk_f, adk_f, sigma
 
 
 def frame_tables(space: ReductiveSpace, metric: MetricSpec):
@@ -507,10 +540,4 @@ def frame_tables(space: ReductiveSpace, metric: MetricSpec):
     coefficients of [E_a,E_b]_m, bk_f[a,b,:] the k-coefficients of
     [E_a,E_b]_k, and adk_f[w] the frame matrix of ad(k_w) on m.
     """
-    r = summand_sigma(space, metric)
-    sigma = np.repeat(r, space.summand_dims)
-    inv = 1.0 / sigma
-    bm_f = scale_blocks(space, space.bm, rescale_factors(r))
-    bk_f = space.bk * np.outer(inv, inv)[:, :, None]
-    adk_f = space.adk * np.outer(sigma, inv)
-    return bm_f, bk_f, adk_f, sigma
+    return (frame_bracket(space, metric), *frame_k_tables(space, metric))

@@ -50,5 +50,10 @@ def flag_b54():
 
 
 @pytest.fixture(scope="session")
+def flag_d64():
+    return catalog.build_flag("D", 6, 4)
+
+
+@pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)

@@ -13,7 +13,6 @@ from redhom.connections import (
     nomizu_st,
     satisfies_stc,
     u_group_space,
-    verify_stary,
 )
 from redhom.curvature import (
     codifferential,
@@ -25,6 +24,7 @@ from redhom.curvature import (
     scalar_relation_residual,
     torsion,
     torsion_type,
+    verify_stary,
 )
 from redhom.einstein import (
     nabla_alpha_einstein_residual,

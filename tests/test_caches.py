@@ -1,24 +1,28 @@
-"""Per-space caches and the one-pass frame tables.
+"""Per-space caches, the one-pass frame tables and the warm point path.
 
-A space computes its default Casimir data, its bracket-inclusion residuals
-and the bracket contractions of the two-summand closed forms once, as
-read-only cached properties; a Nomizu map computes its frame tables and
-torsion once.  The one-pass builders are checked against the three-pass
-rescaling they replaced, which is kept here as the reference.
+A space computes its default Casimir data, its bracket-inclusion residuals,
+the bracket contractions of the two-summand closed forms and the isotropy
+pairings of the oracle once, as read-only cached properties; a Nomizu map
+computes its frame bracket, its swapped coefficients and its torsion once.
+The one-pass builders are checked against the three-pass rescaling they
+replaced, and the oracle's isotropy term against the frame-table pairing
+it replaced; both references are kept here.
 """
 
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from redhom import catalog, curvature as curvature_module, einstein, reductive
+from redhom import catalog, connections, curvature as curvature_module, einstein, reductive
 from redhom.connections import NomizuMap, nomizu_levi_civita_gt, nomizu_st
 from redhom.curvature import (
     codifferential,
     curvature,
+    nabla_torsion,
     ricci_oracle,
     ricci_st_closed,
     scalar_st_closed,
@@ -44,6 +48,21 @@ def reference_nomizu_st(space, s, t):
     raw[s1, s2, :] = t * space.bm[s1, s2, :]
     raw[s2, s1, :] = (1.0 - t) * space.bm[s2, s1, :]
     return s * frame_rescale(raw, frame_sigma(space, MetricSpec.g_t(t)))
+
+
+def frame_pairing(bk_f, adk_f):
+    """sum_{i,w} bk_f[x,i,w] adk_f[w,y,i] from the frame tables."""
+    return np.tensordot(bk_f, adk_f, ([1, 2], [2, 0]))
+
+
+def point_task(space, s, t):
+    """One flag point: map, torsion, oracle, closed Ricci, co-differential, skewness."""
+    nm = nomizu_st(space, s, t)
+    t3 = torsion(nm)
+    oracle = ricci_oracle(nm)
+    closed = ricci_st_closed(space, s, t)
+    codiff = codifferential(nm)
+    return t3.skew_residual(), oracle, closed, codiff
 
 
 def _rel(got, ref):
@@ -88,13 +107,43 @@ def test_rescaled_map_matches_three_pass_reference(two_summand):
     assert _rel(nm.rescaled(metric).coeffs, frame_rescale(nm.coeffs, ratio)) <= 1e-15
 
 
-def test_oracle_is_the_trace_of_the_full_curvature(cp3, flag_b54):
-    for space in (cp3, flag_b54):
-        for s, t in ST_POINTS[:2]:
+def test_oracle_is_the_trace_of_the_full_curvature(cp3, flag_b54, flag_c53, flag_d64):
+    cases = ((cp3, ST_POINTS[:2]), (flag_b54, ST_POINTS[:2]), (flag_c53, ST_POINTS[2:3]),
+             (flag_d64, ST_POINTS[:1]))
+    for space, points in cases:
+        for s, t in points:
             nm = nomizu_st(space, s, t)
-            ref = np.einsum("xiiy->xy", curvature(nm).components)
-            got = ricci_oracle(nm).components
-            assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+            pairs = ((ricci_oracle(nm).components,
+                      np.einsum("xiiy->xy", curvature(nm).components)),
+                     (codifferential(nm).components,
+                      -np.einsum("iixy->xy", nabla_torsion(nm))))
+            for got, ref in pairs:
+                assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("space_id", [sid for sid in catalog.known_ids()
+                                      if not sid.startswith("lie-group")] + ["flag-B(2,2)"])
+def test_isotropy_term_matches_the_frame_table_pairing(space_id):
+    space = catalog.build_space(space_id)
+    assert space.dim_k
+    ns = space.nsummands
+    metrics = [MetricSpec.killing(ns)]
+    metrics += [MetricSpec.g_t(t) if ns == 2 else MetricSpec((2.0 * t,) * ns)
+                for t in (0.3, 0.8, 1.4)]
+    for metric in metrics:
+        _, bk_f, adk_f, _ = frame_tables(space, metric)
+        assert _rel(curvature_module._isotropy_term(space, metric),
+                    frame_pairing(bk_f, adk_f)) <= 1e-14
+
+
+def test_skew_residual_is_the_two_temporary_max(flag_b54):
+    coeffs = np.random.default_rng(4).standard_normal((flag_b54.dim_m,) * 3)
+    maps = (nomizu_st(flag_b54, 1.7, 0.5), nomizu_st(flag_b54, 2.9, 0.3),
+            NomizuMap(flag_b54, MetricSpec.g_t(0.7), coeffs, "random"))
+    for nm in maps:
+        t3 = torsion(nm)
+        t = t3.components
+        assert t3.skew_residual() == float(np.abs(t + t.transpose(0, 2, 1)).max())
 
 
 def test_oracle_reads_no_closed_form_quantity(monkeypatch, flag_b54):
@@ -112,6 +161,22 @@ def test_oracle_reads_no_closed_form_quantity(monkeypatch, flag_b54):
     assert "casimir_data" not in vars(space) and "bracket_sums" not in vars(space)
     monkeypatch.undo()
     assert np.abs(ric.components - ricci_st_closed(space, 1.7, 0.8).components).max() < 1e-10
+
+
+def test_point_task_builds_no_frame_tables(monkeypatch, flag_b54):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the point task built a table it should have read")
+
+    point_task(flag_b54, 1.7, 0.8)           # the space's own tables, built once
+    for module in (reductive, connections, curvature_module):
+        for name in ("frame_tables", "frame_k_tables"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(reductive, "_casimir_data", refuse)
+    monkeypatch.setattr(reductive, "_bracket_sums", refuse)
+    skew, oracle, closed, codiff = point_task(flag_b54, 2.9, 0.3)
+    assert skew > 1e-3 and np.isfinite(codiff.components).all()
+    assert np.abs(oracle.components - closed.components).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +257,7 @@ def test_dropped_space_is_freed(cp3):
 
 
 def test_space_invariants_are_built_once_per_space(monkeypatch, flag_b54):
-    calls = {"casimir": 0, "sums": 0}
+    calls = {"casimir": 0, "sums": 0, "pairs": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -204,17 +269,38 @@ def test_space_invariants_are_built_once_per_space(monkeypatch, flag_b54):
                         counted("casimir", reductive._casimir_data))
     monkeypatch.setattr(reductive, "_bracket_sums",
                         counted("sums", reductive._bracket_sums))
+    monkeypatch.setattr(reductive, "_isotropy_pairs",
+                        counted("pairs", reductive._isotropy_pairs))
     space = _fresh(flag_b54)
     rng = np.random.default_rng(14)
     for _ in range(20):
         s, t = rng.uniform(-1.0, 3.0), rng.uniform(0.25, 1.5)
-        nm = nomizu_st(space, s, t)
-        torsion(nm), ricci_oracle(nm), codifferential(nm)
-        ricci_st_closed(space, s, t)
+        point_task(space, s, t)
     report = einstein.riemannian_quadratic(space)
     for root in report.positive_roots:
         einstein.riemannian_root_residual(space, root)
     report = einstein.skew_einstein_quadratic(space)
     for root in report.root_values:
         einstein.skew_root_residual(space, root)
-    assert calls == {"casimir": 1, "sums": 1}
+    assert calls == {"casimir": 1, "sums": 1, "pairs": 1}
+    pairs = space.isotropy_pairs
+    assert pairs.shape == (2, space.dim_m, space.dim_m)
+    with pytest.raises(ValueError):
+        pairs[0, 0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# allocation guard
+
+
+def test_point_task_holds_at_most_five_and_a_half_m3_tables(flag_d64):
+    # The map's coefficients, L[b,a,c], bm_f and T live through the task, with
+    # one transient m^3 array at a time beside them; a sixth would fail here.
+    point_task(flag_d64, 1.7, 0.8)           # the space's own tables, built once
+    tracemalloc.start()
+    try:
+        point_task(flag_d64, 2.9, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 8 * flag_d64.dim_m ** 3

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from redhom import liealg, reductive
 from redhom.connections import (
     ConnectionError_,
+    NomizuMap,
     biinvariant_family,
     combine_bilinear,
+    derivation_action,
     equivariance_residual,
     exotic_un_maps,
     is_derivation,
@@ -18,9 +20,8 @@ from redhom.connections import (
     nomizu_st,
     satisfies_stc,
     u_group_space,
-    verify_stary,
 )
-from redhom.curvature import torsion
+from redhom.curvature import torsion, verify_stary
 from redhom.reductive import MetricSpec, frame_tables, lie_group_space
 
 
@@ -276,7 +277,60 @@ def test_frame_tables_are_computed_once_per_map(cp3, flag_c53):
             assert np.array_equal(table, fresh)
             with pytest.raises(ValueError):
                 table[(0,) * table.ndim] += 1.0
+        assert tables[0] is nm.frame_bracket
+        swapped = nm.swapped_coeffs
+        assert nm.swapped_coeffs is swapped and swapped.flags.c_contiguous
+        assert np.array_equal(swapped, nm.coeffs.transpose(1, 0, 2))
+        with pytest.raises(ValueError):
+            swapped[0, 0, 0] = 1.0
         # another metric gets its own tables
         other = nm.rescaled(MetricSpec.g_t(0.3))
         assert other.frame_tables is not tables
         assert np.array_equal(other.frame_tables[0], frame_tables(space, other.metric)[0])
+
+
+# ---------------------------------------------------------------------------
+# tensordot contractions against their einsum forms
+
+
+def einsum_equivariance_residual(nm):
+    """The three-einsum form of ``equivariance_residual``, kept as its reference."""
+    _, _, adk_f, _ = frame_tables(nm.space, nm.metric)
+    lam = nm.coeffs.transpose(0, 2, 1)
+    left = np.einsum("wij,ajk->waik", adk_f, lam) - np.einsum("aij,wjk->waik", lam, adk_f)
+    right = np.einsum("wca,cik->waik", adk_f, lam)
+    return float(np.abs(left - right).max())
+
+
+def einsum_derivation_action(L, a):
+    """The three-einsum form of ``derivation_action``, kept as its reference."""
+    return (np.einsum("xyc,zcd->zxyd", a, L) - np.einsum("zxc,cyd->zxyd", L, a)
+            - np.einsum("zyc,xcd->zxyd", L, a))
+
+
+@pytest.mark.parametrize("fixture", ["cp3", "sphere_s6", "sphere_s7", "berger", "flag_c53"])
+def test_equivariance_residual_matches_einsum_reference(fixture, request):
+    space = request.getfixturevalue(fixture)
+    metric = MetricSpec.g_t(0.7) if space.nsummands == 2 else MetricSpec.killing(1)
+    coeffs = np.random.default_rng(5).standard_normal((space.dim_m,) * 3)
+    maps = [nomizu_alpha(space, -1.0), NomizuMap(space, metric, coeffs, "random")]
+    if space.nsummands == 2:
+        maps.append(nomizu_st(space, 2.0, 0.3))
+    refs = []
+    for nm in maps:
+        got, ref = equivariance_residual(nm), einsum_equivariance_residual(nm)
+        assert abs(got - ref) <= 1e-12 * max(1.0, ref)
+        refs.append(ref)
+    assert refs[0] < 1e-9 < 1.0 < refs[1]     # the random map is far from equivariant
+
+
+def test_derivation_action_matches_einsum_reference(su3_group, flag_b54):
+    rng = np.random.default_rng(8)
+    cases = [(rng.standard_normal((7,) * 3), rng.standard_normal((7,) * 3))]
+    for space in (su3_group, flag_b54):
+        nm = nomizu_alpha(space, -1.0)
+        cases.append((nm.coeffs, nm.frame_bracket))
+        cases.append((nm.coeffs, nm.torsion_table))
+    for L, a in cases:
+        got, ref = derivation_action(L, a), einsum_derivation_action(L, a)
+        assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
