@@ -192,11 +192,6 @@ def _ideal_leak(alg: LieAlgebra, basis: np.ndarray) -> float:
 # pointwise checks
 
 
-def lambda_matrices(nm: NomizuMap) -> np.ndarray:
-    """Stack of matrices of Lambda(E_a) acting on frame coordinates."""
-    return nm.coeffs.transpose(0, 2, 1)
-
-
 def is_metric(nm: NomizuMap, metric: MetricSpec | None = None,
               tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Whether Lambda(X) is skew for the given metric; returns (flag, residual)."""

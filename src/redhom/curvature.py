@@ -26,7 +26,6 @@ from .connections import (
     ConnectionError_,
     NomizuMap,
     derivation_action,
-    lambda_matrices,
     nomizu_alpha,
     nomizu_levi_civita_gt,
     satisfies_stc,
@@ -91,16 +90,24 @@ def torsion(nm: NomizuMap) -> Tensor3:
 
 
 def curvature(nm: NomizuMap) -> Tensor31:
-    """R(X,Y) = [Lambda(X),Lambda(Y)] - Lambda([X,Y]_m) - ad([X,Y]_k)."""
-    space = nm.space
+    """R(X,Y) = [Lambda(X),Lambda(Y)] - Lambda([X,Y]_m) - ad([X,Y]_k).
+
+    Built in the output layout R[a,b,c,d] from one product table
+    P[b,c,a,d] = sum_j L[b,c,j] L[a,j,d] (``tensordot``), whose two
+    transposes give [Lambda(E_a),Lambda(E_b)], and one GEMM of the stacked
+    m- and k-coefficients of [E_a,E_b] against the stacked Lambda(E_e) and
+    ad(k_w) matrices: at most two m^4 arrays at a time.
+    """
     bm_f, bk_f, adk_f, _ = nm.frame_tables
-    lam = lambda_matrices(nm)
-    rmat = np.einsum("aij,bjk->abik", lam, lam)
-    rmat = rmat - rmat.transpose(1, 0, 2, 3)
-    rmat = rmat - np.einsum("abc,cik->abik", bm_f, lam)
-    if space.dim_k:
-        rmat = rmat - np.einsum("abw,wik->abik", bk_f, adk_f)
-    return Tensor31(rmat.transpose(0, 1, 3, 2), nm.metric, label=nm.label)
+    L = nm.coeffs
+    m = nm.dim
+    prod = np.tensordot(L, L, (2, 1))
+    rmat = prod.transpose(2, 0, 1, 3) - prod.transpose(0, 2, 1, 3)
+    del prod
+    brackets = np.concatenate((bm_f, bk_f), axis=2).reshape(m * m, -1)
+    actions = np.concatenate((L, adk_f.transpose(0, 2, 1))).reshape(-1, m * m)
+    rmat -= (brackets @ actions).reshape(rmat.shape)
+    return Tensor31(rmat, nm.metric, label=nm.label)
 
 
 def _isotropy_term(space: ReductiveSpace, metric: MetricSpec) -> np.ndarray:
@@ -161,17 +168,18 @@ def codifferential(nm: NomizuMap) -> Tensor2:
     <A,B>[x,y] = sum_{i,c} A[i,x,c] B[i,c,y].  Each pairing is one GEMM
     of A[i,x,c] read as (x, (i,c)) rows against B as stored; for A = L
     those rows are the map's ``swapped_coeffs``.  T[b,a,c] = -T[a,b,c]
-    holds only to the rounding of the bracket table, so <T,L> reads a
-    transposed copy of T rather than -T.
+    holds bit for bit (``ReductiveSpace.bm`` is exactly antisymmetric and
+    the frame factors are symmetric in a, b), so the rows of <T,L> are
+    -T as stored and no transposed copy is made.
     """
     t3 = nm.torsion_table
     L = nm.coeffs
     m = nm.dim
     v = np.einsum("iic->c", L)
-    t_rows = np.ascontiguousarray(t3.transpose(1, 0, 2)).reshape(m, -1)
-    dt = (v @ t3.reshape(m, -1)).reshape(m, m)
+    t_rows = t3.reshape(m, -1)
+    dt = (v @ t_rows).reshape(m, m)
     dt += nm.swapped_coeffs.reshape(m, -1) @ t3.reshape(-1, m)
-    dt -= t_rows @ L.reshape(-1, m)
+    dt += t_rows @ L.reshape(-1, m)
     return Tensor2(dt, nm.metric, role="codifferential", label=nm.label)
 
 

@@ -11,6 +11,7 @@ explicit gap requirement, since the integer answers are the whole point.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,9 +208,17 @@ def certify_bracket_span(result: EquivariantSolveResult, space: ReductiveSpace,
 
 
 def _expm_skew(a: np.ndarray) -> np.ndarray:
-    """exp(a) for a real skew a: i a = V diag(mu) V^H, so exp(a) = V diag(e^{-i mu}) V^H."""
-    mu, v = np.linalg.eigh(1j * a)
-    return ((v * np.exp(-1j * mu)) @ v.conj().T).real
+    """exp(a) for a real skew a, in real arithmetic.
+
+    -a^2 = a^T a is symmetric positive semidefinite and commutes with a; with
+    a^T a = V diag(theta^2) V^T, exp(a) = cos(Theta) + sinc(Theta) a for
+    Theta = V diag(theta) V^T and sinc(x) = sin(x) / x.
+    """
+    theta_sq, v = np.linalg.eigh(a.T @ a)
+    theta = np.sqrt(np.clip(theta_sq, 0.0, None))
+    cos_part = (v * np.cos(theta)) @ v.T
+    sinc_part = (v * np.sinc(theta / np.pi)) @ v.T
+    return cos_part + sinc_part @ a
 
 
 def group_spot_check(result: EquivariantSolveResult, space: ReductiveSpace,
@@ -219,7 +228,10 @@ def group_spot_check(result: EquivariantSolveResult, space: ReductiveSpace,
     Connected isotropy makes the infinitesimal solve sufficient; this
     randomized check guards the implementation itself.  The isotropy
     action must be skew in the orthonormal m-frame (ReductiveError if it
-    is not), which lets the exponential come from a Hermitian ``eigh``.
+    is not), which lets the exponential come from a real symmetric
+    ``eigh``.  The standard-normal draws come from the standard library's
+    ``random.Random(seed)``, which keeps ``numpy.random`` (and the OpenSSL
+    it loads) out of the process.
     """
     if space.dim_k == 0 or result.dimension == 0:
         return 0.0
@@ -230,14 +242,18 @@ def group_spot_check(result: EquivariantSolveResult, space: ReductiveSpace,
             f"isotropy action on {space.name} is not skew in the m-frame "
             f"(defect {skew_defect:.3e})"
         )
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
+
+    def normal(size: int) -> np.ndarray:
+        return np.array([rng.gauss(0.0, 1.0) for _ in range(size)])
+
     worst = 0.0
     for _ in range(samples):
-        w = rng.standard_normal(space.dim_k)
+        w = normal(space.dim_k)
         w /= np.linalg.norm(w)
         g = _expm_skew(np.tensordot(w, adk, (0, 0)))
-        x = rng.standard_normal(space.dim_m)
-        y = rng.standard_normal(space.dim_m)
+        x = normal(space.dim_m)
+        y = normal(space.dim_m)
         for eta in result.basis:
             lhs = np.einsum("abc,a,b->c", eta, g @ x, g @ y)
             rhs = g @ np.einsum("abc,a,b->c", eta, x, y)

@@ -124,18 +124,40 @@ class ReductiveSpace:
 
     @cached_property
     def m_bracket_vectors(self) -> np.ndarray:
-        """[Z_a, Z_b] as algebra coefficient vectors, shape (M, M, dim g)."""
+        """[Z_a, Z_b] as algebra coefficient vectors, shape (M, M, dim g).
+
+        Only ``validate`` and the transvection check of the closed Ricci
+        read it; ``bm`` and ``bk`` are read off a transient table unless
+        this one is already cached.
+        """
         return _read_only(self.algebra.brackets(self.m_basis, self.m_basis))
 
     @cached_property
+    def _m_bracket_parts(self) -> tuple:
+        """(bm, bk) from one bracket table: the cached ``m_bracket_vectors``
+        when something already read it, else a transient one.
+
+        bm is antisymmetrized, (raw - raw[b,a,c]) / 2, so that
+        bm[a,b,c] == -bm[b,a,c] holds bit for bit.
+        """
+        vecs = vars(self).get("m_bracket_vectors")
+        if vecs is None:
+            vecs = self.algebra.brackets(self.m_basis, self.m_basis)
+        raw = vecs @ (self.ip.gram @ self.m_basis.T)
+        bm = raw - raw.transpose(1, 0, 2)
+        bm *= 0.5
+        return _read_only(bm), _read_only(vecs @ (self.ip.gram @ self.k_basis.T))
+
+    @cached_property
     def bm(self) -> np.ndarray:
-        """m-part coefficients of [Z_a, Z_b] over the m-basis."""
-        return _read_only(self.m_bracket_vectors @ (self.ip.gram @ self.m_basis.T))
+        """m-part coefficients of [Z_a, Z_b] over the m-basis, exactly
+        antisymmetric in (a, b)."""
+        return self._m_bracket_parts[0]
 
     @cached_property
     def bk(self) -> np.ndarray:
         """k-part coefficients of [Z_a, Z_b] over the k-basis."""
-        return _read_only(self.m_bracket_vectors @ (self.ip.gram @ self.k_basis.T))
+        return self._m_bracket_parts[1]
 
     @cached_property
     def adk(self) -> np.ndarray:

@@ -5,8 +5,10 @@ the bracket contractions of the two-summand closed forms and the isotropy
 pairings of the oracle once, as read-only cached properties; a Nomizu map
 computes its frame bracket, its swapped coefficients and its torsion once.
 The one-pass builders are checked against the three-pass rescaling they
-replaced, and the oracle's isotropy term against the frame-table pairing
-it replaced; both references are kept here.
+replaced, the oracle's isotropy term against the frame-table pairing it
+replaced, bm and bk against their reads of the retained bracket vectors,
+and the co-differential against its transposed-copy form; the references
+are kept here.
 """
 
 import dataclasses
@@ -63,6 +65,36 @@ def point_task(space, s, t):
     closed = ricci_st_closed(space, s, t)
     codiff = codifferential(nm)
     return t3.skew_residual(), oracle, closed, codiff
+
+
+def reference_bracket_tables(space):
+    """(bm, bk) read off the space's cached bracket vectors; bm antisymmetrized."""
+    vecs = space.m_bracket_vectors
+    raw = vecs @ (space.ip.gram @ space.m_basis.T)
+    return 0.5 * (raw - raw.transpose(1, 0, 2)), vecs @ (space.ip.gram @ space.k_basis.T)
+
+
+def reference_validate(space):
+    """``ReductiveSpace.validate`` residuals with bm as read before the
+    antisymmetrization."""
+    vecs = space.m_bracket_vectors
+    bm = vecs @ (space.ip.gram @ space.m_basis.T)
+    _, bk = reference_bracket_tables(space)
+    report = dict(space.validate())
+    report["m_bracket_split"] = float(np.abs(vecs - bm @ space.m_basis
+                                             - bk @ space.k_basis).max())
+    return report
+
+
+def codifferential_with_transposed_copy(nm):
+    """delta T with <T,L> read from a contiguous copy of T[b,a,c]."""
+    t3, L, m = nm.torsion_table, nm.coeffs, nm.dim
+    v = np.einsum("iic->c", L)
+    t_rows = np.ascontiguousarray(t3.transpose(1, 0, 2)).reshape(m, -1)
+    dt = (v @ t3.reshape(m, -1)).reshape(m, m)
+    dt += nm.swapped_coeffs.reshape(m, -1) @ t3.reshape(-1, m)
+    dt -= t_rows @ L.reshape(-1, m)
+    return dt
 
 
 def _rel(got, ref):
@@ -134,6 +166,48 @@ def test_isotropy_term_matches_the_frame_table_pairing(space_id):
         _, bk_f, adk_f, _ = frame_tables(space, metric)
         assert _rel(curvature_module._isotropy_term(space, metric),
                     frame_pairing(bk_f, adk_f)) <= 1e-14
+
+
+@pytest.mark.parametrize("space_id", catalog.known_ids())
+def test_bm_is_exactly_antisymmetric(space_id):
+    bm = catalog.build_space(space_id).bm
+    assert np.array_equal(bm, -bm.transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("space_id", ["flag-B(5,4)", "flag-C(5,3)", "flag-D(6,4)",
+                                      "cp3", "sphere-s6"])
+def test_bm_and_bk_come_from_one_transient_bracket_table(space_id):
+    space = _fresh(catalog.build_space(space_id))
+    space.bm, space.bk, space.adk, casimir(space), space.isotropy_pairs
+    if len(space.summands) == 2:
+        space.bracket_sums
+    assert "m_bracket_vectors" not in vars(space)
+    bm, bk = space.bm, space.bk
+    ref_bm, ref_bk = reference_bracket_tables(space)
+    assert np.array_equal(bm, ref_bm) and np.array_equal(bk, ref_bk)
+    # read bk first, or validate first: the same tables
+    bk_first, validated = _fresh(space), _fresh(space)
+    bk_first.bk
+    report = validated.validate()
+    for other in (bk_first, validated):
+        assert np.array_equal(other.bm, bm) and np.array_equal(other.bk, bk)
+    ref = reference_validate(validated)
+    assert report.keys() == ref.keys() and report["ok"]
+    for key, value in ref.items():
+        assert abs(report[key] - value) <= 1e-15, key
+
+
+def test_torsion_is_exactly_antisymmetric_and_codifferential_copy_free(flag_b54, cp3):
+    for space in (flag_b54, cp3):
+        coeffs = np.random.default_rng(6).standard_normal((space.dim_m,) * 3)
+        maps = (nomizu_st(space, 1.7, 0.8), nomizu_st(space, -0.6, 0.5),
+                connections.nomizu_alpha(space, 0.3),
+                NomizuMap(space, MetricSpec.g_t(0.7), coeffs, "random"))
+        for nm in maps:
+            t = nm.torsion_table
+            assert np.array_equal(t, -t.transpose(1, 0, 2))
+            assert np.array_equal(codifferential(nm).components,
+                                  codifferential_with_transposed_copy(nm))
 
 
 def test_skew_residual_is_the_two_temporary_max(flag_b54):

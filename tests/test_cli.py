@@ -197,11 +197,15 @@ def test_bad_numeric_parameters_exit_2(capsys, argv):
 
 
 def test_cold_flag_build_does_not_load_scipy():
+    # nor numpy.random (with secrets, hashlib and OpenSSL), also after the
+    # homdim spot check
     src = Path(redhom.__file__).resolve().parents[1]
     probe = ("import sys; from redhom import cli; "
-             "code = cli.main(['--format', 'json', 'einstein', 'skew', "
-             "'--space', 'flag-C(5,3)']); "
-             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             "codes = [cli.main(['--format', 'json', *args]) for args in "
+             "(['einstein', 'skew', '--space', 'flag-C(5,3)'], "
+             "['homdim', '--space', 'sphere-s7'])]; "
+             "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+             "or m.startswith('numpy.random') or m in ('secrets', '_hashlib')))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": str(src)})
-    assert out.stdout.splitlines()[-1] == "0 []"
+    assert out.stdout.splitlines()[-1] == "[0, 0] []"

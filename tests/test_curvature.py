@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -336,8 +338,6 @@ def test_fused_traces_match_full_tensors(fixture, request):
 
 
 def test_fused_traces_never_form_an_m4_tensor(flag_c53):
-    import tracemalloc
-
     nm = _random_map(flag_c53, 0)
     one_m4_tensor = 8 * flag_c53.dim_m ** 4
     for fn in (ricci_oracle, codifferential):
@@ -349,3 +349,41 @@ def test_fused_traces_never_form_an_m4_tensor(flag_c53):
         finally:
             tracemalloc.stop()
         assert peak < one_m4_tensor, (fn.__name__, peak)
+
+
+def reference_curvature(nm):
+    """R[a,b,c,d] from the definition by three unoptimized einsums."""
+    bm_f, bk_f, adk_f, _ = nm.frame_tables
+    lam = nm.coeffs.transpose(0, 2, 1)
+    rmat = np.einsum("aij,bjk->abik", lam, lam)
+    rmat = rmat - rmat.transpose(1, 0, 2, 3)
+    rmat = rmat - np.einsum("abc,cik->abik", bm_f, lam)
+    if nm.space.dim_k:
+        rmat = rmat - np.einsum("abw,wik->abik", bk_f, adk_f)
+    return rmat.transpose(0, 1, 3, 2)
+
+
+@pytest.mark.parametrize("fixture", ["cp3", "sphere_s4", "sphere_s7", "berger",
+                                     "su3_group", "flag_c53"])
+def test_curvature_matches_einsum_reference(fixture, request):
+    space = request.getfixturevalue(fixture)
+    maps = [_random_map(space, 2), nomizu_alpha(space, 0.3)]
+    if space.nsummands == 2:
+        maps.append(nomizu_st(space, 1.7, 0.8))
+    for nm in maps:
+        ref = reference_curvature(nm)
+        got = curvature(nm).components
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
+def test_curvature_holds_at_most_two_m4_tensors(flag_c53):
+    nm = _random_map(flag_c53, 0)
+    curvature(nm)  # fill the map's frame tables outside the trace
+    tracemalloc.start()
+    try:
+        curvature(nm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * 8 * flag_c53.dim_m ** 4

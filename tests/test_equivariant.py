@@ -84,6 +84,18 @@ def test_group_level_spot_check(sphere_s6, sphere_s7):
         assert group_spot_check(res, sp, samples=10, seed=0) < 1e-6
 
 
+@pytest.mark.parametrize("fixture", ["sphere_s6", "sphere_s7"])
+def test_spot_check_detects_a_non_equivariant_basis(fixture, request):
+    # a degenerate generator (w, x or y always zero, or g the identity)
+    # would pass any basis
+    sp = request.getfixturevalue(fixture)
+    res = hom_dimension(sp)
+    bent = res.basis + 1e-3 * np.random.default_rng(5).standard_normal(res.basis.shape)
+    fake = SimpleNamespace(dimension=res.dimension, basis=bent)
+    assert group_spot_check(fake, sp, samples=10, seed=0) > 1e-6
+    assert group_spot_check(res, sp, samples=10, seed=0) < 1e-12
+
+
 def test_lie_group_case_returns_everything(su2_group):
     res = hom_dimension(su2_group)
     assert res.dimension == 27
@@ -138,14 +150,20 @@ def test_matrix_free_action_matches_operator(space_id):
         assert np.abs(applied.reshape(-1) - ref).max() < 1e-12 * max(1.0, np.abs(ref).max())
 
 
-@pytest.mark.parametrize("space_id", SMALL_SPACES + ["flag-C(5,3)"])
+@pytest.mark.parametrize("space_id", SMALL_SPACES + ["flag-C(5,3)", "flag-D(6,4)"])
 def test_eigh_exponential_matches_expm(space_id):
     space = catalog.build_space(space_id)
+    n = space.dim_m
+    assert np.array_equal(_expm_skew(np.zeros((n, n))), np.eye(n))
     rng = np.random.default_rng(3)
     for _ in range(3):
         a = np.tensordot(rng.standard_normal(space.dim_k), space.adk, (0, 0))
         assert np.abs(a + a.T).max() < 1e-12
-        assert np.abs(_expm_skew(a) - scipy.linalg.expm(a)).max() < 1e-12
+        norm = np.linalg.norm(a, 2)
+        # the draw itself, then operator norms up to 10 pi
+        for scale in (1.0, 1e-9 / norm, 1.0 / norm, np.pi / norm, 10 * np.pi / norm):
+            b = scale * a
+            assert np.abs(_expm_skew(b) - scipy.linalg.expm(b)).max() < 1e-12
 
 
 def test_spot_check_refuses_a_non_skew_action(sphere_s6):
@@ -159,9 +177,11 @@ def test_spot_check_refuses_a_non_skew_action(sphere_s6):
 
 
 def test_import_does_not_load_scipy():
+    # nor numpy.random, whose import loads secrets, hashlib and OpenSSL
     src = Path(redhom.__file__).resolve().parents[1]
     probe = ("import sys, redhom.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+             "or m.startswith('numpy.random') or m in ('secrets', '_hashlib')))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": str(src)})
     assert out.stdout.strip() == "[]"
