@@ -322,7 +322,7 @@ def cmd_homdim(args) -> int:
             "bracket_projection": cert["projection_residual"],
             "group_spot_check": spot,
         },
-        "tolerances": {"tol": args.tol, "rank_gap_min": 1e3},
+        "tolerances": {"tol": args.tol, "rank_gap_min": equivariant.RANK_GAP_MIN},
     }
     emit(out, args)
     return EXIT_OK
@@ -439,8 +439,7 @@ _SUITES = {
 
 def cmd_check(args) -> int:
     if args.all:
-        ids = ["cp3", "sphere-s4", "sphere-s6", "sphere-s7", "berger",
-               "lie-group(su2)", "lie-group(su3)"]
+        ids = [sid for sid in catalog.known_ids() if not sid.startswith("flag-")]
     elif args.space:
         ids = [args.space]
     else:

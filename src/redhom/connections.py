@@ -192,18 +192,16 @@ def _ideal_leak(alg: LieAlgebra, basis: np.ndarray) -> float:
 # pointwise checks
 
 
-def is_metric(nm: NomizuMap, metric: MetricSpec | None = None,
-              tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Whether Lambda(X) is skew for the given metric; returns (flag, residual)."""
-    coeffs = nm.coeffs if metric is None else nm.rescaled(metric).coeffs
-    residual = float(np.abs(coeffs + coeffs.transpose(0, 2, 1)).max())
-    return residual < tol, residual
+def is_metric(nm: NomizuMap) -> tuple[bool, float]:
+    """Whether Lambda(X) is skew for the map's metric; returns (flag, residual)."""
+    residual = float(np.abs(nm.coeffs + nm.coeffs.transpose(0, 2, 1)).max())
+    return residual < DEFAULT_TOL, residual
 
 
-def satisfies_stc(nm: NomizuMap, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
+def satisfies_stc(nm: NomizuMap) -> tuple[bool, float]:
     """Polarized check of Lambda(X)X = 0 over all frame pairs."""
     residual = float(np.abs(nm.coeffs + nm.coeffs.transpose(1, 0, 2)).max())
-    return residual < tol, residual
+    return residual < DEFAULT_TOL, residual
 
 
 def equivariance_residual(nm: NomizuMap) -> float:
@@ -238,10 +236,10 @@ def derivation_defect(nm: NomizuMap) -> np.ndarray:
     return derivation_action(nm.coeffs, nm.frame_bracket)
 
 
-def is_derivation(nm: NomizuMap, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
+def is_derivation(nm: NomizuMap) -> tuple[bool, float]:
     """Whether every Lambda(Z) is a derivation of the algebra."""
     residual = float(np.abs(derivation_defect(nm)).max())
-    return residual < tol, residual
+    return residual < DEFAULT_TOL, residual
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +304,7 @@ def combine_bilinear(maps: dict, c1: float, c2: float, c3: float, c: float) -> B
                           kind=f"combo({c1:g},{c2:g},{c3:g},{c:g})")
 
 
-def linear_combination_stc_rank(n: int, sample_points=None, rtol: float = 1e-8) -> dict:
+def linear_combination_stc_rank(n: int, sample_points=None) -> dict:
     """Solution space of eta_c(X, X) = 0 in the weights (c1, c2, c3, c).
 
     The default sample set (basis vectors and pairwise sums) spans the
@@ -326,7 +324,7 @@ def linear_combination_stc_rank(n: int, sample_points=None, rtol: float = 1e-8) 
         cols = [np.einsum("abc,a,b->c", maps[k].coeffs, x, x) for k in order]
         rows.append(np.column_stack(cols))
     system = np.vstack(rows)
-    basis = nullspace(system, rtol=rtol)
+    basis = nullspace(system, rtol=1e-8)
     mu_only = bool(
         basis.shape[0] == 1 and np.abs(basis[0][:3]).max() < 1e-8
     )
@@ -334,8 +332,8 @@ def linear_combination_stc_rank(n: int, sample_points=None, rtol: float = 1e-8) 
             "weights_order": order}
 
 
-def u_group_space(n: int, center_weight: float = 1.0) -> ReductiveSpace:
-    """Lie group space of u(n) with -K patched by a centre block."""
+def u_group_space(n: int) -> ReductiveSpace:
+    """Lie group space of u(n) with -K patched by a unit centre block."""
     alg = build_u(n)
-    ip = negative_killing(alg, center_weight=center_weight)
+    ip = negative_killing(alg, center_weight=1.0)
     return lie_group_space(alg, ip=ip, name=f"lie-group(u{n})")

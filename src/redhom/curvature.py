@@ -19,7 +19,6 @@ from .reductive import (
     ReductiveError,
     casimir,
     frame_sigma,
-    frame_tables,
     summand_sigma,
 )
 from .connections import (
@@ -183,7 +182,7 @@ def codifferential(nm: NomizuMap) -> Tensor2:
     return Tensor2(dt, nm.metric, role="codifferential", label=nm.label)
 
 
-def verify_stary(nm: NomizuMap, tol: float = DEFAULT_TOL) -> float:
+def verify_stary(nm: NomizuMap) -> float:
     """Residual of the torsion/curvature identity for maps with Lambda(X)X = 0.
 
     The identity (nabla_Z T)(X,Y) = 2{R(Z,X)Y - Lambda(Y)([Z,X] - Lambda(Z)X)}
@@ -193,7 +192,7 @@ def verify_stary(nm: NomizuMap, tol: float = DEFAULT_TOL) -> float:
     """
     if nm.space.dim_k != 0:
         raise ConnectionError_("the identity is for Lie group spaces")
-    ok, res = satisfies_stc(nm, tol)
+    ok, res = satisfies_stc(nm)
     if not ok:
         raise ConnectionError_(
             f"the identity presumes Lambda(X)X = 0 (violated by {res:.3e})"
@@ -209,23 +208,18 @@ def verify_stary(nm: NomizuMap, tol: float = DEFAULT_TOL) -> float:
 # closed forms
 
 
-def ricci_alpha_closed(space: ReductiveSpace, alpha: float,
-                       q_k: np.ndarray | None = None,
-                       check_transvection: bool = True) -> Tensor2:
+def ricci_alpha_closed(space: ReductiveSpace, alpha: float) -> Tensor2:
     """Closed-form Ricci of the canonical family on the naturally reductive metric.
 
     Ric(X,Y) = ((1-a^2)/4) B(X,Y) + ((1+a^2)/2) A(X,Y) with B the negative
     Killing form and A the Casimir pairing; the scalar curvature is stored
-    on the result.  Requires g = m + [m,m].
+    on the result.  Requires g = m + [m,m], that is, the k-parts of [m,m]
+    (the rows of ``bk``) must span k.
     """
-    if check_transvection:
-        stacked = np.vstack([
-            space.m_basis,
-            space.m_bracket_vectors.reshape(-1, space.algebra.dim),
-        ])
-        if np.linalg.matrix_rank(stacked, tol=1e-8) != space.algebra.dim:
-            raise ReductiveError("g = m + [m,m] fails; closed form not applicable")
-    cas = casimir(space, q_k=q_k)
+    if space.dim_k and np.linalg.matrix_rank(
+            space.bk.reshape(-1, space.dim_k), tol=1e-8) != space.dim_k:
+        raise ReductiveError("g = m + [m,m] fails; closed form not applicable")
+    cas = casimir(space)
     b = space.b_form
     a = cas.a_gram
     ric = 0.25 * (1.0 - alpha**2) * b + 0.5 * (1.0 + alpha**2) * a
@@ -242,10 +236,9 @@ def s_tensor(nm: NomizuMap) -> Tensor2:
     return Tensor2(s, nm.metric, role="s-tensor", label=nm.label)
 
 
-def s_tensor_alpha_closed(space: ReductiveSpace, alpha: float,
-                          q_k: np.ndarray | None = None) -> Tensor2:
+def s_tensor_alpha_closed(space: ReductiveSpace, alpha: float) -> Tensor2:
     """Closed form S = a^2 (B - 2A) on the naturally reductive metric."""
-    cas = casimir(space, q_k=q_k)
+    cas = casimir(space)
     s = alpha**2 * (space.b_form - 2.0 * cas.a_gram)
     return Tensor2(s, MetricSpec.killing(space.nsummands), role="s-tensor",
                    label=f"alpha={alpha:g}")
@@ -261,8 +254,7 @@ def _st_coefficients(space: ReductiveSpace, s: float, t: float) -> tuple:
     return k1, k2, k3
 
 
-def ricci_st_closed(space: ReductiveSpace, s: float, t: float,
-                    q_k: np.ndarray | None = None) -> Tensor2:
+def ricci_st_closed(space: ReductiveSpace, s: float, t: float) -> Tensor2:
     """Blockwise closed-form Ricci of the two-summand family nabla^{s,t}.
 
     Ric = k1 w1 + k2 w2 + A on m1 and k3 w3 + A on m2, with the bracket
@@ -274,7 +266,7 @@ def ricci_st_closed(space: ReductiveSpace, s: float, t: float,
     k1, k2, k3 = _st_coefficients(space, s, t)
     metric = MetricSpec.g_t(t)
     s1, s2 = space.summand_slices()
-    cas = casimir(space, q_k=q_k)
+    cas = casimir(space)
     w = space.bracket_sums
     ric = np.zeros((space.dim_m, space.dim_m))
     ric[s1, s1] = k1 * w.w1 + k2 * w.w2 + cas.a_gram[s1, s1]
@@ -285,12 +277,11 @@ def ricci_st_closed(space: ReductiveSpace, s: float, t: float,
                    label=f"s={s:g} t={t:g}")
 
 
-def scalar_st_closed(space: ReductiveSpace, s: float, t: float,
-                     q_k: np.ndarray | None = None) -> float:
+def scalar_st_closed(space: ReductiveSpace, s: float, t: float) -> float:
     """Scalar curvature of nabla^{s,t} from the displayed norm sums."""
     k1, k2, _ = _st_coefficients(space, s, t)
     sl1, sl2 = space.summand_slices()
-    cas = casimir(space, q_k=q_k)
+    cas = casimir(space)
     w = space.bracket_sums
     a1 = float(np.trace(cas.a_gram[sl1, sl1]))
     a2 = float(np.trace(cas.a_gram[sl2, sl2]))
@@ -302,7 +293,8 @@ def scalar_st_closed(space: ReductiveSpace, s: float, t: float,
 
 
 def _levi_civita_map(space: ReductiveSpace, metric: MetricSpec) -> NomizuMap:
-    """Levi-Civita Nomizu map for the metric (two-summand or Killing scaling)."""
+    """Levi-Civita Nomizu map in the frame of the metric (two-summand g_t,
+    or a uniform scale of the Killing metric)."""
     if len(space.summands) == 2:
         t = metric.t
         if t is None:
@@ -310,7 +302,7 @@ def _levi_civita_map(space: ReductiveSpace, metric: MetricSpec) -> NomizuMap:
         return nomizu_levi_civita_gt(space, t)
     if any(abs(sc - metric.scales[0]) > 1e-14 for sc in metric.scales):
         raise ConnectionError_("non-uniform metric needs a two-summand space")
-    return nomizu_alpha(space, 0.0)
+    return nomizu_alpha(space, 0.0).rescaled(metric)
 
 
 def torsion_type(nm: NomizuMap) -> dict:
@@ -339,18 +331,17 @@ def torsion_type(nm: NomizuMap) -> dict:
     }
 
 
-def jacobian_m(space: ReductiveSpace, metric: MetricSpec | None = None) -> dict:
-    """Cyclic Jacobian Jac(X,Y,Z) = cyclic-sum [X,[Y,Z]_m]_m over the frame.
+def jacobian_m(space: ReductiveSpace) -> dict:
+    """Cyclic Jacobian Jac(X,Y,Z) = cyclic-sum [X,[Y,Z]_m]_m over the Killing frame.
 
     Also reports whether the Jacobian vanishes and whether [m,m] stays in
     m or in k (the Lie-group and symmetric-space ends of the spectrum).
     """
-    metric = metric or MetricSpec.killing(space.nsummands)
-    bm_f, bk_f, _, _ = frame_tables(space, metric)
-    jac = np.einsum("yzc,xcd->xyzd", bm_f, bm_f)
+    bm, bk = space.bm, space.bk
+    jac = np.einsum("yzc,xcd->xyzd", bm, bm)
     jac = jac + jac.transpose(1, 2, 0, 3) + jac.transpose(2, 0, 1, 3)
-    m_closed = float(np.abs(bk_f).max()) if space.dim_k else 0.0
-    m_in_k = float(np.abs(bm_f).max()) if space.dim_m else 0.0
+    m_closed = float(np.abs(bk).max()) if space.dim_k else 0.0
+    m_in_k = float(np.abs(bm).max()) if space.dim_m else 0.0
     return {
         "jacobian": jac,
         "max_abs": float(np.abs(jac).max()),
@@ -360,7 +351,7 @@ def jacobian_m(space: ReductiveSpace, metric: MetricSpec | None = None) -> dict:
     }
 
 
-def scalar_relation_residual(nm: NomizuMap, q_k: np.ndarray | None = None) -> float:
+def scalar_relation_residual(nm: NomizuMap) -> float:
     """Residual of Scal = Scal^g - (3/2)||T||^2 for skew-torsion connections."""
     t3 = torsion(nm)
     if not t3.is_totally_skew(tol=1e-7):

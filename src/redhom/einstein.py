@@ -34,15 +34,16 @@ class QuadraticReport:
         return tuple(r for r, _ in self.roots if r > 0)
 
 
-def solve_quadratic(a: float, b: float, c: float, rel_tol: float = 1e-10):
+def solve_quadratic(a: float, b: float, c: float):
     """Real roots with multiplicity; handles the degenerate and linear cases."""
     scale = max(abs(a), abs(b), abs(c), 1.0)
-    if abs(a) < rel_tol * scale:
-        if abs(b) < rel_tol * scale:
-            return (), 0.0, abs(c) < rel_tol * scale
+    zero = 1e-10 * scale
+    if abs(a) < zero:
+        if abs(b) < zero:
+            return (), 0.0, abs(c) < zero
         return ((-c / b, 1),), 0.0, False
     disc = b * b - 4.0 * a * c
-    if abs(disc) < rel_tol * scale * scale:
+    if abs(disc) < zero * scale:
         return ((-b / (2.0 * a), 2),), disc, False
     if disc < 0:
         return (), disc, False
@@ -51,16 +52,15 @@ def solve_quadratic(a: float, b: float, c: float, rel_tol: float = 1e-10):
     return tuple(sorted([(r1, 1), (r2, 1)])), disc, False
 
 
-def _quadratic_sums(space: ReductiveSpace, q_k: np.ndarray | None,
-                    spread_tol: float) -> tuple:
+def _quadratic_sums(space: ReductiveSpace) -> tuple:
     """Mean norm sums P, Q, R, the Casimir and the spread of their per-vector values."""
     if len(space.summands) != 2:
         raise ReductiveError("Einstein quadratics need exactly two summands")
     sums = space.bracket_sums
     p, q, r = sums.p, sums.q, sums.r
-    cas = casimir(space, q_k=q_k)
+    cas = casimir(space)
     spread = float(max(np.ptp(p), np.ptp(q), np.ptp(r), cas.deviation))
-    if spread > spread_tol:
+    if spread > 1e-7:
         raise ReductiveError(
             f"per-vector coefficient spread {spread:.3e} exceeds tolerance; "
             "summands are not irreducible or the split is wrong"
@@ -68,15 +68,14 @@ def _quadratic_sums(space: ReductiveSpace, q_k: np.ndarray | None,
     return float(p.mean()), float(q.mean()), float(r.mean()), cas, spread
 
 
-def riemannian_quadratic(space: ReductiveSpace, q_k: np.ndarray | None = None,
-                         spread_tol: float = 1e-7) -> QuadraticReport:
+def riemannian_quadratic(space: ReductiveSpace) -> QuadraticReport:
     """Einstein quadratic a t^2 + b t + c = 0 of the metric family g_t.
 
     Coefficients come from the fixed-vector norm sums
     a = -3P + Q - R, b = 2(P + Cas_1), c = -Cas_2; the report carries the
     spread of the per-vector values as an irreducibility diagnostic.
     """
-    pm, qm, rm, cas, spread = _quadratic_sums(space, q_k, spread_tol)
+    pm, qm, rm, cas, spread = _quadratic_sums(space)
     incl = check_inclusions(space)
     if not incl["ok"]:
         raise ReductiveError(f"bracket inclusions violated: {incl}")
@@ -94,14 +93,14 @@ def riemannian_quadratic(space: ReductiveSpace, q_k: np.ndarray | None = None,
                            extras={"cas1": cas1, "cas2": cas2, "P": pm, "Q": qm, "R": rm})
 
 
-def solve_skew_quadratic(c_value: float, delta_cas: float,
-                         tol: float = 1e-9) -> QuadraticReport:
+def solve_skew_quadratic(c_value: float, delta_cas: float) -> QuadraticReport:
     """Roots of c s^2 - 2 c s - 4(Cas_1 - Cas_2) = 0 with degeneracy handling.
 
     When c vanishes together with the Casimir difference the equation is
     satisfied by every s; the distinguished pair {0, 2} is reported with
     the flags set accordingly.
     """
+    tol = 1e-9
     coeffs = (c_value, -2.0 * c_value, -4.0 * delta_cas)
     disc = 4.0 * c_value * (c_value + 4.0 * delta_cas)
     flags = {"degenerate_c": abs(c_value) < tol, "all_s": False,
@@ -129,10 +128,9 @@ def solve_skew_quadratic(c_value: float, delta_cas: float,
                            extras={"c": c_value, "delta_cas": delta_cas})
 
 
-def skew_einstein_quadratic(space: ReductiveSpace, q_k: np.ndarray | None = None,
-                            spread_tol: float = 1e-7) -> QuadraticReport:
+def skew_einstein_quadratic(space: ReductiveSpace) -> QuadraticReport:
     """Einstein-with-skew-torsion quadratic in s at the Killing metric."""
-    pm, qm, rm, cas, spread = _quadratic_sums(space, q_k, spread_tol)
+    pm, qm, rm, cas, spread = _quadratic_sums(space)
     c_value = pm + qm - rm
     delta_cas = cas.constants[0] - cas.constants[1]
     report = solve_skew_quadratic(c_value, delta_cas)
@@ -151,29 +149,26 @@ def einstein_defect(ric: Tensor2) -> float:
     return float(np.abs(ric.components - (ric.scalar / n) * np.eye(n)).max())
 
 
-def riemannian_root_residual(space: ReductiveSpace, t: float,
-                             q_k: np.ndarray | None = None) -> float:
+def riemannian_root_residual(space: ReductiveSpace, t: float) -> float:
     """Einstein defect of g_t: deviation of the Riemannian Ricci from c*g_t."""
-    return einstein_defect(ricci_st_closed(space, 1.0, t, q_k=q_k))
+    return einstein_defect(ricci_st_closed(space, 1.0, t))
 
 
-def skew_root_residual(space: ReductiveSpace, s: float,
-                       q_k: np.ndarray | None = None) -> float:
+def skew_root_residual(space: ReductiveSpace, s: float) -> float:
     """Einstein defect of nabla^{s,1/2} against the Killing metric."""
-    return einstein_defect(ricci_st_closed(space, s, 0.5, q_k=q_k))
+    return einstein_defect(ricci_st_closed(space, s, 0.5))
 
 
-def nabla_alpha_einstein_residual(space: ReductiveSpace, alpha: float,
-                                  q_k: np.ndarray | None = None) -> float:
+def nabla_alpha_einstein_residual(space: ReductiveSpace, alpha: float) -> float:
     """Max deviation of Ric^alpha from (Scal/n) g on the Killing metric."""
-    return einstein_defect(ricci_alpha_closed(space, alpha, q_k=q_k))
+    return einstein_defect(ricci_alpha_closed(space, alpha))
 
 
-def thm4_identity_residual(space: ReductiveSpace, q_k: np.ndarray | None = None) -> float:
+def thm4_identity_residual(space: ReductiveSpace) -> float:
     """Residual of 2n Cas + sum_{ij} |[Z_i,Z_j]_m|^2 - n = 0 (irreducible case)."""
     if space.nsummands != 1:
         raise ReductiveError("identity applies to isotropy-irreducible spaces")
-    cas = casimir(space, q_k=q_k)
+    cas = casimir(space)
     n = space.dim_m
     bracket_sq = float(np.einsum("abc,abc->", space.bm, space.bm))
     return float(abs(2.0 * n * cas.constants[0] + bracket_sq - n))

@@ -21,6 +21,8 @@ from .reductive import ReductiveError, ReductiveSpace
 
 # Largest dense equivariance solve hom_dimension will attempt, in bytes.
 SOLVE_BUDGET_BYTES = 1 << 30
+# Smallest singular-value gap at which hom_dimension accepts its rank cut.
+RANK_GAP_MIN = 1e3
 
 
 class RankAmbiguityError(RuntimeError):
@@ -116,17 +118,16 @@ def solve_bytes(space: ReductiveSpace) -> int:
     return 8 * cube * cube * (5 if space.dim_k else 1)
 
 
-def _subspace_rank(vectors: np.ndarray, rtol: float = 1e-9) -> int:
+def _subspace_rank(vectors: np.ndarray) -> int:
     if vectors.size == 0:
         return 0
     s = np.linalg.svd(vectors, compute_uv=False)
     if s.size == 0 or s[0] < 1e-12:
         return 0
-    return int((s > s[0] * rtol).sum())
+    return int((s > s[0] * 1e-9).sum())
 
 
-def hom_dimension(space: ReductiveSpace, rank_rtol: float = 1e-7,
-                  min_gap: float = 1e3) -> EquivariantSolveResult:
+def hom_dimension(space: ReductiveSpace) -> EquivariantSolveResult:
     """Solve for all isotropy-equivariant bilinear maps m x m -> m.
 
     The system A_a eta = 0 has dim k * n^3 equations in n^3 unknowns.  Its
@@ -134,7 +135,7 @@ def hom_dimension(space: ReductiveSpace, rank_rtol: float = 1e-7,
     singular values of the system are sqrt(max(lambda, 0)) and the null
     space is spanned by the eigenvectors of the discarded eigenvalues.
 
-    The rank cut lambda > lambda_max * rank_rtol is made in the squared
+    The rank cut lambda > lambda_max * 1e-7 is made in the squared
     scale, where rounding leaves the zero eigenvalues near eps * lambda_max
     (their square roots near 1e-8 * sigma_max).  The cut is safe because
     ad_a is skew in the orthonormal m-frame, so G = -sum_a A_a^2 is the
@@ -143,7 +144,7 @@ def hom_dimension(space: ReductiveSpace, rank_rtol: float = 1e-7,
     constant, so the kept eigenvalues are bounded away from zero.  The gap
     is the smallest kept singular value over the square root of the largest
     discarded |lambda|; RankAmbiguityError is raised when it is below
-    ``min_gap``.  SolveTooLargeError is raised, before anything is built,
+    ``RANK_GAP_MIN``.  SolveTooLargeError is raised, before anything is built,
     when ``solve_bytes`` exceeds ``SOLVE_BUDGET_BYTES``.
     """
     n = space.dim_m
@@ -159,14 +160,14 @@ def hom_dimension(space: ReductiveSpace, rank_rtol: float = 1e-7,
                                       n * n * (n + 1) // 2, np.zeros(0), np.inf)
     lam, vecs = np.linalg.eigh(_gram(space))
     s = np.sqrt(np.clip(lam[::-1], 0.0, None))
-    rank = int((lam > lam[-1] * rank_rtol).sum())
+    rank = int((lam > lam[-1] * 1e-7).sum())
     dimension = lam.size - rank
     noise = np.sqrt(np.abs(lam[:dimension]).max()) if dimension else 0.0
     if rank and noise > 0:
         gap = float(s[rank - 1] / noise)
-        if gap < min_gap:
+        if gap < RANK_GAP_MIN:
             raise RankAmbiguityError(
-                f"indeterminate rank: singular-value gap {gap:.1e} < {min_gap:.0e}"
+                f"indeterminate rank: singular-value gap {gap:.1e} < {RANK_GAP_MIN:.0e}"
             )
     else:
         gap = np.inf
@@ -185,8 +186,7 @@ def hom_dimension(space: ReductiveSpace, rank_rtol: float = 1e-7,
     return EquivariantSolveResult(dimension, basis, skew_dim, sym_dim, s, gap)
 
 
-def certify_bracket_span(result: EquivariantSolveResult, space: ReductiveSpace,
-                         tol: float = 1e-9) -> dict:
+def certify_bracket_span(result: EquivariantSolveResult, space: ReductiveSpace) -> dict:
     """Check the m-bracket map solves the system and lies in the solution span."""
     bracket = space.bm.reshape(-1)
     if space.dim_k:
@@ -203,7 +203,7 @@ def certify_bracket_span(result: EquivariantSolveResult, space: ReductiveSpace,
     return {
         "system_residual": sys_res,
         "projection_residual": proj_res,
-        "ok": bool(sys_res < tol * scale and proj_res < tol * scale),
+        "ok": bool(sys_res < 1e-9 * scale and proj_res < 1e-9 * scale),
     }
 
 

@@ -86,13 +86,13 @@ class LieAlgebra:
         """Matrix realization of a coefficient vector."""
         return np.tensordot(np.asarray(coeffs, dtype=float), self.basis, axes=1)
 
-    def coefficients(self, mat, tol: float = 1e-8) -> np.ndarray:
+    def coefficients(self, mat) -> np.ndarray:
         """Coefficient vector of a matrix lying in the span of the basis."""
         mat = np.asarray(mat, dtype=float)
         coeffs = mat.reshape(-1) @ self._basis_pinv
         residual = np.abs(self.matrix(coeffs) - mat).max()
         scale = max(1.0, np.abs(mat).max())
-        if residual > tol * scale:
+        if residual > 1e-8 * scale:
             raise LieAlgebraError(
                 f"matrix not in the span of {self.name} (residual {residual:.3e})"
             )
@@ -237,7 +237,7 @@ def _jacobi_residual(c: np.ndarray) -> float:
     return jacobi
 
 
-def from_basis(name: str, mats, tol: float = DEFAULT_TOL, validate: bool = True) -> LieAlgebra:
+def from_basis(name: str, mats) -> LieAlgebra:
     """Build a LieAlgebra from a list/array of real matrices.
 
     Structure constants are solved by least squares; the basis must be
@@ -270,13 +270,12 @@ def from_basis(name: str, mats, tol: float = DEFAULT_TOL, validate: bool = True)
         raise LieAlgebraError(
             f"basis of {name} is not bracket-closed (residual {closure:.3e})"
         )
-    structure[np.abs(structure) < tol] = 0.0
+    structure[np.abs(structure) < DEFAULT_TOL] = 0.0
     killing = np.tensordot(structure, structure, ([1, 2], [2, 1]))
     alg = LieAlgebra(name=name, basis=mats, structure=structure, killing=killing)
-    if validate:
-        report = alg.validate(tol=max(tol, 1e-8))
-        if not report["ok"]:
-            raise LieAlgebraError(f"{name} failed validation: {report}")
+    report = alg.validate(tol=1e-8)
+    if not report["ok"]:
+        raise LieAlgebraError(f"{name} failed validation: {report}")
     return alg
 
 
@@ -389,7 +388,7 @@ def build_sp(n: int) -> LieAlgebra:
     return from_basis(f"sp({n})", [realify(z) for z in _sp_complex_basis(n)])
 
 
-def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlgebra:
+def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     """Block-diagonal direct sum of two algebras."""
     na, nb = a.ambient_dim, b.ambient_dim
     mats = []
@@ -401,17 +400,17 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlge
         blk = np.zeros((na + nb, na + nb))
         blk[na:, na:] = m
         mats.append(blk)
-    return from_basis(name or f"{a.name}+{b.name}", mats)
+    return from_basis(f"{a.name}+{b.name}", mats)
 
 
 # ---------------------------------------------------------------------------
 # stabilizers and g2
 
 
-def three_form(coeff_triples=_G2_FORM) -> np.ndarray:
+def three_form() -> np.ndarray:
     """Dense antisymmetric (7,7,7) array of the associative 3-form."""
     w = np.zeros((7, 7, 7))
-    for i, j, k, val in coeff_triples:
+    for i, j, k, val in _G2_FORM:
         for (a, b, c), sgn in [
             ((i, j, k), 1.0), ((j, k, i), 1.0), ((k, i, j), 1.0),
             ((j, i, k), -1.0), ((i, k, j), -1.0), ((k, j, i), -1.0),
@@ -429,7 +428,7 @@ def form_action(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     )
 
 
-def stabilizer_subalgebra(a: LieAlgebra, constraint, tol: float = DEFAULT_TOL,
+def stabilizer_subalgebra(a: LieAlgebra, constraint,
                           name: str = "stabilizer") -> np.ndarray:
     """Solve the linear system constraint(X) = 0 inside a Lie algebra.
 
@@ -444,7 +443,7 @@ def stabilizer_subalgebra(a: LieAlgebra, constraint, tol: float = DEFAULT_TOL,
         return basis
     brs = a.brackets(basis, basis)
     leak = np.abs(brs - (brs @ basis.T) @ basis).max(axis=2)
-    if leak.max() > max(tol, 1e-8):
+    if leak.max() > 1e-8:
         i, j = sorted(np.unravel_index(leak.argmax(), leak.shape))
         raise LieAlgebraError(
             f"{name}: constraint does not cut out a subalgebra "
@@ -497,7 +496,7 @@ def build_g2() -> LieAlgebra:
     return from_basis("g2", mats)
 
 
-def ideal_generated_by(a: LieAlgebra, v, tol: float = 1e-8) -> np.ndarray:
+def ideal_generated_by(a: LieAlgebra, v) -> np.ndarray:
     """Orthonormal basis of the smallest ideal containing a coefficient vector."""
     span = np.asarray(v, dtype=float).reshape(1, -1)
     span = span / np.linalg.norm(span)
@@ -505,7 +504,7 @@ def ideal_generated_by(a: LieAlgebra, v, tol: float = 1e-8) -> np.ndarray:
         brs = a.brackets(np.eye(a.dim), span).reshape(-1, a.dim)
         stacked = np.vstack([span, brs])
         _, s, vt = np.linalg.svd(stacked, full_matrices=False)
-        rank = int((s > s[0] * tol).sum())
+        rank = int((s > s[0] * 1e-8).sum())
         if rank == span.shape[0]:
             return vt[:rank]
         span = vt[:rank]
@@ -568,7 +567,7 @@ def bprime(a: LieAlgebra) -> InnerProduct:
     return InnerProduct(gram=gram, provenance="b-prime")
 
 
-def gram_schmidt(vectors, ip: InnerProduct, tol: float = DEFAULT_TOL) -> np.ndarray:
+def gram_schmidt(vectors, ip: InnerProduct) -> np.ndarray:
     """Orthonormalize rows with respect to an inner product.
 
     Raises on near-dependence (pivot below tolerance).  Already-orthonormal
@@ -581,7 +580,7 @@ def gram_schmidt(vectors, ip: InnerProduct, tol: float = DEFAULT_TOL) -> np.ndar
         for u in out:
             v = v - ip.pairing(u, v) * u
         nrm = ip.norm(v)
-        if nrm < max(tol, 1e-12) * max(1.0, ip.norm(row)):
+        if nrm < DEFAULT_TOL * max(1.0, ip.norm(row)):
             raise LieAlgebraError("gram_schmidt: input vectors are nearly dependent")
         out.append(v / nrm)
     return np.array(out).reshape(len(out), vectors.shape[1] if vectors.size else 0)

@@ -16,7 +16,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .liealg import (
-    DEFAULT_TOL,
     InnerProduct,
     LieAlgebra,
     LieAlgebraError,
@@ -126,9 +125,8 @@ class ReductiveSpace:
     def m_bracket_vectors(self) -> np.ndarray:
         """[Z_a, Z_b] as algebra coefficient vectors, shape (M, M, dim g).
 
-        Only ``validate`` and the transvection check of the closed Ricci
-        read it; ``bm`` and ``bk`` are read off a transient table unless
-        this one is already cached.
+        Only ``validate`` reads it; ``bm`` and ``bk`` are read off a
+        transient table unless this one is already cached.
         """
         return _read_only(self.algebra.brackets(self.m_basis, self.m_basis))
 
@@ -181,8 +179,8 @@ class ReductiveSpace:
 
     @cached_property
     def casimir_data(self) -> "CasimirData":
-        """``casimir(self)`` for the default q_k (the identity on k)."""
-        return _casimir_data(self, np.eye(self.dim_k))
+        """Casimir data of the isotropy action; see ``casimir``."""
+        return _casimir_data(self)
 
     @cached_property
     def inclusion_residuals(self):
@@ -226,7 +224,7 @@ class ReductiveSpace:
 
 
 def decompose(algebra: LieAlgebra, k_basis, ip: InnerProduct | None = None,
-              name: str = "", tol: float = DEFAULT_TOL) -> ReductiveSpace:
+              name: str = "") -> ReductiveSpace:
     """Split g = k + m with m the ip-orthogonal complement of k.
 
     The k and m bases are orthonormalized against ``ip`` (default -K).
@@ -246,7 +244,7 @@ def decompose(algebra: LieAlgebra, k_basis, ip: InnerProduct | None = None,
         m_basis = complement.reshape(0, algebra.dim)
     space = ReductiveSpace(algebra=algebra, ip=ip, k_basis=k_basis,
                            m_basis=m_basis, name=name or algebra.name)
-    report = space.validate(tol=max(tol, 1e-8))
+    report = space.validate()
     if not report["ok"]:
         bad = {k: v for k, v in report.items() if k != "ok"}
         raise ReductiveError(f"decomposition of {space.name} failed: {bad}")
@@ -254,7 +252,7 @@ def decompose(algebra: LieAlgebra, k_basis, ip: InnerProduct | None = None,
 
 
 def assemble(algebra: LieAlgebra, k_basis, m_basis, ip: InnerProduct,
-             summands=(), name: str = "", tol: float = 1e-8) -> ReductiveSpace:
+             summands=(), name: str = "") -> ReductiveSpace:
     """Build a space from pinned bases, validating instead of recomputing."""
     space = ReductiveSpace(
         algebra=algebra, ip=ip,
@@ -262,7 +260,7 @@ def assemble(algebra: LieAlgebra, k_basis, m_basis, ip: InnerProduct,
         m_basis=np.asarray(m_basis, dtype=float).reshape(-1, algebra.dim),
         summands=tuple(tuple(s) for s in summands), name=name or algebra.name,
     )
-    report = space.validate(tol=tol)
+    report = space.validate()
     if not report["ok"]:
         bad = {k: v for k, v in report.items() if k != "ok"}
         raise ReductiveError(f"assembled space {space.name} is invalid: {bad}")
@@ -290,27 +288,21 @@ class CasimirData:
     a_gram: np.ndarray            # A(Z_i, Z_j) = <C Z_i, Z_j>, read-only
 
 
-def casimir(space: ReductiveSpace, q_k: np.ndarray | None = None) -> CasimirData:
-    """Casimir operator on m from dual bases of k with respect to q_k.
+def casimir(space: ReductiveSpace) -> CasimirData:
+    """Casimir operator on m from dual bases of k with respect to ``ip``.
 
-    ``q_k`` is a gram matrix over the space's (orthonormalized) k-basis;
-    the default is the restriction of the space inner product, i.e. the
-    identity, whose data the space computes once.  An explicit ``q_k`` is
-    never cached.  Constants are mean diagonal entries per summand.
+    ``ip`` is the bi-invariant form that defines the normal metric, so the
+    k-basis is its own dual basis.  The space computes the data once.
+    Constants are mean diagonal entries per summand.
     """
-    if q_k is None:
-        return space.casimir_data
-    q_k = np.asarray(q_k, dtype=float)
-    if np.abs(np.linalg.det(q_k)) < 1e-14:
-        raise ReductiveError("q_k is degenerate on k")
-    return _casimir_data(space, np.linalg.inv(q_k))
+    return space.casimir_data
 
 
-def _casimir_data(space: ReductiveSpace, qinv: np.ndarray) -> CasimirData:
-    """Casimir data for the inverse gram matrix ``qinv`` of q_k."""
+def _casimir_data(space: ReductiveSpace) -> CasimirData:
+    """The Casimir data behind ``ReductiveSpace.casimir_data``."""
     adk = space.adk
-    # -qinv rather than a negated product: an empty k gives +0.0, not -0.0
-    op = np.tensordot(adk, np.tensordot(-qinv, adk, (1, 0)), ((0, 2), (0, 1)))
+    # a negated factor rather than a negated product: an empty k gives +0.0
+    op = np.tensordot(adk, np.negative(adk), ((0, 2), (0, 1)))
     constants = []
     deviation = 0.0
     for sl in space.summand_slices():
@@ -414,16 +406,15 @@ def _inclusion_residuals(space: ReductiveSpace) -> dict:
     return res
 
 
-def check_inclusions(space: ReductiveSpace, tol: float = 1e-8) -> dict:
+def check_inclusions(space: ReductiveSpace) -> dict:
     """Per-inclusion residuals and booleans for a two-summand space."""
     res = space.inclusion_residuals
-    out = {key: {"residual": val, "ok": bool(val < tol)} for key, val in res.items()}
+    out = {key: {"residual": val, "ok": bool(val < 1e-8)} for key, val in res.items()}
     out["ok"] = bool(all(v["ok"] for v in out.values() if isinstance(v, dict)))
     return out
 
 
-def split_isotropy(space: ReductiveSpace, gap: float = 1e-6,
-                   tol: float = 1e-8) -> ReductiveSpace:
+def split_isotropy(space: ReductiveSpace) -> ReductiveSpace:
     """Split m into isotropy summands and return a reordered space.
 
     Eigenspaces of the Casimir operator are refined by the squared action
@@ -443,19 +434,19 @@ def split_isotropy(space: ReductiveSpace, gap: float = 1e-6,
         refined = []
         for blk in blocks:
             sub = blk @ op @ blk.T
-            for piece in _cluster_eigh(sub, gap):
+            for piece in _cluster_eigh(sub, 1e-6):
                 refined.append(piece @ blk)
         blocks = refined
     # verify each block is ad(k)-stable
     for blk in blocks:
-        if _max_abs(nullspace(blk) @ space.adk @ blk.T) > max(tol, 1e-7):
+        if _max_abs(nullspace(blk) @ space.adk @ blk.T) > 1e-7:
             raise ReductiveError(
                 "isotropy spectra do not separate ad(k)-stable summands; "
                 "supply the split explicitly"
             )
     blocks.sort(key=lambda b: -b.shape[0])
     if len(blocks) == 2:
-        blocks = _order_two_summands(space, blocks, tol)
+        blocks = _order_two_summands(space, blocks)
     new_m = np.vstack([blk @ space.m_basis for blk in blocks])
     bounds = np.cumsum([0] + [b.shape[0] for b in blocks])
     summands = tuple((int(bounds[i]), int(bounds[i + 1])) for i in range(len(blocks)))
@@ -463,7 +454,7 @@ def split_isotropy(space: ReductiveSpace, gap: float = 1e-6,
                           m_basis=new_m, summands=summands, name=space.name)
 
 
-def _order_two_summands(space: ReductiveSpace, blocks, tol: float):
+def _order_two_summands(space: ReductiveSpace, blocks):
     """Pick the (m1, m2) assignment satisfying the bracket inclusions."""
     best = None
     for order in ([0, 1], [1, 0]):
@@ -478,7 +469,7 @@ def _order_two_summands(space: ReductiveSpace, blocks, tol: float):
         worst = max(res.values())
         if best is None or worst < best[0]:
             best = (worst, order)
-    if best[0] > max(tol, 1e-7):
+    if best[0] > 1e-7:
         raise ReductiveError(
             f"no summand ordering satisfies the bracket inclusions "
             f"(best residual {best[0]:.3e})"
@@ -490,16 +481,17 @@ def _order_two_summands(space: ReductiveSpace, blocks, tol: float):
 # structural identities
 
 
-def verify_use1(space: ReductiveSpace, q_k: np.ndarray | None = None) -> dict:
+def verify_use1(space: ReductiveSpace) -> dict:
     """Residuals of the Casimir trace identities on m.
 
-    Checks A(X,Y) = sum_j q_k([X,Z_j]_k, [Y,Z_j]_k) against the operator
+    Checks A(X,Y) = sum_j <[X,Z_j]_k, [Y,Z_j]_k> against the operator
     form, and -K(X,Y) = sum_i <[X,Z_i]_m, [Y,Z_i]_m> + 2A(X,Y), over all
     m-basis pairs.
     """
-    cas = casimir(space, q_k=q_k)
-    q = np.eye(space.dim_k) if q_k is None else np.asarray(q_k, dtype=float)
-    a_sum = np.tensordot(space.bk @ q, space.bk, ((1, 2), (1, 2)))
+    cas = casimir(space)
+    # two buffers, so that both sides are general products: numpy would turn
+    # one buffer times its own transpose into a symmetric rank-k update
+    a_sum = np.tensordot(space.bk.copy(), space.bk, ((1, 2), (1, 2)))
     m_sum = np.tensordot(space.bm, space.bm, ((1, 2), (1, 2)))
     return {"a_identity": _max_abs(cas.a_gram - a_sum),
             "b_identity": _max_abs(space.b_form - m_sum - 2.0 * cas.a_gram)}

@@ -19,7 +19,7 @@ import weakref
 import numpy as np
 import pytest
 
-from redhom import catalog, connections, curvature as curvature_module, einstein, reductive
+from redhom import catalog, connections, curvature as curvature_module, einstein, liealg, reductive
 from redhom.connections import NomizuMap, nomizu_levi_civita_gt, nomizu_st
 from redhom.curvature import (
     codifferential,
@@ -299,20 +299,6 @@ def test_nomizu_map_copies_a_writeable_array(cp3):
     assert not np.shares_memory(nm.coeffs, coeffs)
 
 
-def test_explicit_qk_is_computed_not_cached(cp3):
-    space = _fresh(cp3)
-    q_k = np.diag(np.linspace(0.5, 2.0, space.dim_k))
-    cas = casimir(space, q_k=q_k)
-    assert "casimir_data" not in vars(space)
-    qinv = np.linalg.inv(q_k)
-    ref = -np.einsum("ab,axj,bjy->xy", qinv, space.adk, space.adk)
-    assert np.abs(cas.operator - ref).max() < 1e-14
-    assert np.array_equal(cas.a_gram, cas.operator.T)
-    assert casimir(space, q_k=q_k) is not cas
-    assert casimir(space, q_k=2.0 * np.eye(space.dim_k)).constants == pytest.approx(
-        [c / 2.0 for c in casimir(space).constants], rel=1e-14)
-
-
 def test_dropped_space_is_freed(cp3):
     space = _fresh(cp3)
     nm = nomizu_st(space, 1.5, 0.7)
@@ -378,3 +364,28 @@ def test_point_task_holds_at_most_five_and_a_half_m3_tables(flag_d64):
     finally:
         tracemalloc.stop()
     assert peak <= 5.5 * 8 * flag_d64.dim_m ** 3
+
+
+def stacked_transvection_rank(space) -> int:
+    """Rank of the m-basis stacked with every [Z_a, Z_b] in g: g = m + [m,m]
+    holds when it equals dim g.  The check on the retained bracket vectors."""
+    stacked = np.vstack([space.m_basis,
+                         space.m_bracket_vectors.reshape(-1, space.algebra.dim)])
+    return int(np.linalg.matrix_rank(stacked, tol=1e-8))
+
+
+@pytest.mark.parametrize("space_id", [*catalog.known_ids(), "flag-B(2,2)", "lie-group(u2)"])
+def test_transvection_check_reads_bk_not_the_bracket_vectors(space_id):
+    space = _fresh(catalog.build_space(space_id))
+    curvature_module.ricci_alpha_closed(space, 0.5)
+    assert "m_bracket_vectors" not in vars(space)
+    assert stacked_transvection_rank(_fresh(space)) == space.algebra.dim
+
+
+def test_transvection_check_refuses_a_product_split():
+    so3 = liealg.build_so(3)
+    algebra = liealg.direct_sum(so3, so3)
+    space = reductive.decompose(algebra, np.eye(algebra.dim)[:so3.dim])
+    with pytest.raises(reductive.ReductiveError, match=r"g = m \+ \[m,m\] fails"):
+        curvature_module.ricci_alpha_closed(space, 0.5)
+    assert stacked_transvection_rank(space) == so3.dim < algebra.dim

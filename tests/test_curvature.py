@@ -262,6 +262,15 @@ def test_torsion_type_zero_at_levi_civita(cp3):
     assert tt["cartan_norm"] < 1e-12
 
 
+@pytest.mark.parametrize("scale", [3.0, 0.5])
+def test_levi_civita_follows_a_uniform_metric_scale(sphere_s7, scale):
+    metric = MetricSpec((scale,))
+    lc = nomizu_alpha(sphere_s7, 0.0).rescaled(metric)
+    assert torsion_type(lc)["skew_norm"] <= 1e-12
+    half = nomizu_alpha(sphere_s7, 0.5).rescaled(metric)
+    assert scalar_relation_residual(half) <= 1e-12
+
+
 def test_jacobian_symmetric_space(sphere_s4):
     j = jacobian_m(sphere_s4)
     assert j["is_zero"]

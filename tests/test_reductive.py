@@ -114,11 +114,6 @@ def test_casimir_trivial_for_group(su2_group):
     assert np.abs(cas.a_gram).max() == 0.0
 
 
-def test_casimir_rejects_degenerate_qk(cp3):
-    with pytest.raises(ReductiveError):
-        casimir(cp3, q_k=np.zeros((4, 4)))
-
-
 @pytest.mark.parametrize("fixture", ["cp3", "sphere_s7", "su2_group"])
 def test_use1_identities(fixture, request):
     space = request.getfixturevalue(fixture)
