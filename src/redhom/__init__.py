@@ -57,10 +57,6 @@ from .curvature import (
     torsion_type,
     verify_stary,
 )
-
-# the curvature() operation stays on its module to keep redhom.curvature
-# addressable as a module
-curvature_tensor = curvature.curvature
 from .einstein import (
     QuadraticReport,
     einstein_defect,

@@ -15,8 +15,6 @@ import numpy as np
 
 from . import liealg
 from .liealg import (
-    InnerProduct,
-    LieAlgebraError,
     bprime,
     build_g2,
     build_so,
@@ -32,7 +30,6 @@ from .liealg import (
     vector_annihilator_constraint,
 )
 from .reductive import (
-    ReductiveError,
     ReductiveSpace,
     assemble,
     decompose,
@@ -314,28 +311,11 @@ class SpaceDescriptor:
 
 
 _NAMED = {
-    "cp3": SpaceDescriptor(
-        "cp3", "cp3",
-        expected={"dims": (4, 2), "cas_equal": True,
-                  "riemannian_roots": (0.5, 1.0), "skew_roots": (0.0, 2.0),
-                  "normalization": "b-prime"},
-    ),
-    "sphere-s4": SpaceDescriptor(
-        "sphere-s4", "sphere-s4",
-        expected={"dims": (4,), "hom_dimension": 0, "symmetric": True},
-    ),
-    "sphere-s6": SpaceDescriptor(
-        "sphere-s6", "sphere-s6",
-        expected={"dims": (6,), "hom_dimension": 2},
-    ),
-    "sphere-s7": SpaceDescriptor(
-        "sphere-s7", "sphere-s7",
-        expected={"dims": (7,), "hom_dimension": 1},
-    ),
-    "berger": SpaceDescriptor(
-        "berger", "berger",
-        expected={"dims": (7,)},
-    ),
+    "cp3": SpaceDescriptor("cp3", "cp3", expected={"dims": (4, 2)}),
+    "sphere-s4": SpaceDescriptor("sphere-s4", "sphere-s4", expected={"dims": (4,)}),
+    "sphere-s6": SpaceDescriptor("sphere-s6", "sphere-s6", expected={"dims": (6,)}),
+    "sphere-s7": SpaceDescriptor("sphere-s7", "sphere-s7", expected={"dims": (7,)}),
+    "berger": SpaceDescriptor("berger", "berger", expected={"dims": (7,)}),
 }
 
 _FLAG_RE = re.compile(r"^flag-([BCD])\((\d+),(\d+)\)$")
@@ -351,15 +331,12 @@ def parse_id(space_id: str) -> SpaceDescriptor:
     if m:
         fam, ell, p = m.group(1), int(m.group(2)), int(m.group(3))
         spec = FamilySpec(fam, ell, p)
-        d1, d2 = family_dims(spec)
         ke = killing_einstein_p(fam, ell) == p
         return SpaceDescriptor(sid, f"flag-{fam}", (ell, p),
-                               expected={"dims": (d1, d2), "cas_equal": ke,
-                                         "skew_roots": (0.0, 2.0) if ke else None})
+                               expected={"dims": family_dims(spec), "cas_equal": ke})
     m = _GROUP_RE.match(sid)
     if m:
-        return SpaceDescriptor(sid, "lie-group", (m.group(1),),
-                               expected={"cas_equal": True})
+        return SpaceDescriptor(sid, "lie-group", (m.group(1),))
     raise CatalogError(f"unknown space id {space_id!r}")
 
 

@@ -17,7 +17,6 @@ import numpy as np
 from .liealg import (
     DEFAULT_TOL,
     LieAlgebra,
-    LieAlgebraError,
     _read_only,
     build_u,
     negative_killing,
@@ -28,7 +27,6 @@ from .liealg import (
 from .reductive import (
     MetricSpec,
     ReductiveSpace,
-    ReductiveError,
     check_inclusions,
     frame_bracket,
     frame_k_tables,
@@ -54,7 +52,6 @@ class NomizuMap:
     space: ReductiveSpace
     metric: MetricSpec
     coeffs: np.ndarray           # (M, M, M): Lambda(E_a)E_b = sum_c coeffs[a,b,c] E_c
-    label: str = ""
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=float)
@@ -95,7 +92,7 @@ class NomizuMap:
         """Same map expressed in the frame of another metric."""
         r = summand_sigma(self.space, metric) / summand_sigma(self.space, self.metric)
         coeffs = scale_blocks(self.space, self.coeffs, rescale_factors(r))
-        return NomizuMap(self.space, metric, _read_only(coeffs), self.label)
+        return NomizuMap(self.space, metric, _read_only(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +107,10 @@ def nomizu_alpha(space: ReductiveSpace, alpha: float) -> NomizuMap:
     """
     metric = MetricSpec.killing(space.nsummands)
     coeffs = _read_only(0.5 * (1.0 - alpha) * space.bm)
-    return NomizuMap(space, metric, coeffs, label=f"alpha={alpha:g}")
+    return NomizuMap(space, metric, coeffs)
 
 
-def _nomizu_gt(space: ReductiveSpace, s: float, t: float, label: str) -> NomizuMap:
+def _nomizu_gt(space: ReductiveSpace, s: float, t: float) -> NomizuMap:
     """s times the Levi-Civita Nomizu map of g_t, in the g_t frame.
 
     Over the ip-orthonormal basis the map is blockwise a multiple of the
@@ -133,17 +130,17 @@ def _nomizu_gt(space: ReductiveSpace, s: float, t: float, label: str) -> NomizuM
     weights[1, 0, :] = 1.0 - t
     factors = s * weights * rescale_factors(summand_sigma(space, metric))
     coeffs = _read_only(scale_blocks(space, space.bm, factors))
-    return NomizuMap(space, metric, coeffs, label=label)
+    return NomizuMap(space, metric, coeffs)
 
 
 def nomizu_levi_civita_gt(space: ReductiveSpace, t: float) -> NomizuMap:
     """Levi-Civita Nomizu map of the two-summand metric family g_t."""
-    return _nomizu_gt(space, 1.0, t, f"levi-civita t={t:g}")
+    return _nomizu_gt(space, 1.0, t)
 
 
 def nomizu_st(space: ReductiveSpace, s: float, t: float) -> NomizuMap:
     """The two-parameter family s * Lambda_t; s = 0 canonical, s = 1 Levi-Civita."""
-    return _nomizu_gt(space, s, t, f"s={s:g} t={t:g}")
+    return _nomizu_gt(space, s, t)
 
 
 def biinvariant_family(space: ReductiveSpace, ideals, alphas) -> NomizuMap:
@@ -177,8 +174,7 @@ def biinvariant_family(space: ReductiveSpace, ideals, alphas) -> NomizuMap:
         proj = inv[:, rows] @ basis          # projection onto this ideal
         comp = m @ proj                      # ideal components of the frame vectors
         coeffs += 0.5 * (1.0 - alpha) * (alg.brackets(comp, comp) @ (space.ip.gram @ m.T))
-    label = "biinv alpha=(" + ",".join(f"{a:g}" for a in alphas) + ")"
-    return NomizuMap(space, metric, coeffs, label=label)
+    return NomizuMap(space, metric, coeffs)
 
 
 def _ideal_leak(alg: LieAlgebra, basis: np.ndarray) -> float:
@@ -252,7 +248,6 @@ class BilinearMapOnU:
 
     algebra: LieAlgebra
     coeffs: np.ndarray           # (d, d, d) over the u(n) basis
-    kind: str
 
     def as_nomizu(self, space: ReductiveSpace) -> NomizuMap:
         """Express the map over the frame of a Lie group space of u(n)."""
@@ -264,7 +259,7 @@ class BilinearMapOnU:
         s = space.m_basis                        # frame rows over the raw basis
         sinv = np.linalg.inv(s)
         coeffs = np.einsum("ia,jb,abc,cd->ijd", s, s, self.coeffs, sinv)
-        return NomizuMap(space, metric, coeffs, label=self.kind)
+        return NomizuMap(space, metric, coeffs)
 
 
 def exotic_un_maps(n: int) -> dict:
@@ -289,7 +284,7 @@ def exotic_un_maps(n: int) -> dict:
         "eta3": lambda x, y: np.trace(x) * np.trace(y) * 1j * eye,
         "mu": lambda x, y: 1j * (np.trace(y) * x - np.trace(x) * y),
     }
-    return {kind: BilinearMapOnU(alg, table(fn), kind) for kind, fn in maps.items()}
+    return {kind: BilinearMapOnU(alg, table(fn)) for kind, fn in maps.items()}
 
 
 def combine_bilinear(maps: dict, c1: float, c2: float, c3: float, c: float) -> BilinearMapOnU:
@@ -300,8 +295,7 @@ def combine_bilinear(maps: dict, c1: float, c2: float, c3: float, c: float) -> B
         + c3 * maps["eta3"].coeffs
         + c * maps["mu"].coeffs
     )
-    return BilinearMapOnU(maps["eta1"].algebra, coeffs,
-                          kind=f"combo({c1:g},{c2:g},{c3:g},{c:g})")
+    return BilinearMapOnU(maps["eta1"].algebra, coeffs)
 
 
 def linear_combination_stc_rank(n: int, sample_points=None) -> dict:

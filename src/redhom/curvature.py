@@ -36,8 +36,6 @@ class Tensor3:
     """Torsion 3-tensor components T[a,b,c] = g(T(E_a,E_b), E_c)."""
 
     components: np.ndarray
-    metric: MetricSpec
-    label: str = ""
 
     def skew_residual(self) -> float:
         """Departure from total skewness (symmetric part in the last two slots)."""
@@ -58,8 +56,6 @@ class Tensor31:
     """Curvature components R[a,b,c,d]: R(E_a,E_b)E_c = sum_d R[a,b,c,d] E_d."""
 
     components: np.ndarray
-    metric: MetricSpec
-    label: str = ""
 
     def max_abs(self) -> float:
         return float(np.abs(self.components).max())
@@ -70,10 +66,7 @@ class Tensor2:
     """Symmetric (or general) 2-tensor over the frame, with optional scalar."""
 
     components: np.ndarray
-    metric: MetricSpec
-    role: str = "ricci"
     scalar: float | None = None
-    label: str = ""
 
     def symmetry_residual(self) -> float:
         return float(np.abs(self.components - self.components.T).max())
@@ -85,7 +78,7 @@ class Tensor2:
 
 def torsion(nm: NomizuMap) -> Tensor3:
     """T(X,Y) = Lambda(X)Y - Lambda(Y)X - [X,Y]_m over the frame (read-only)."""
-    return Tensor3(nm.torsion_table, nm.metric, label=nm.label)
+    return Tensor3(nm.torsion_table)
 
 
 def curvature(nm: NomizuMap) -> Tensor31:
@@ -106,7 +99,7 @@ def curvature(nm: NomizuMap) -> Tensor31:
     brackets = np.concatenate((bm_f, bk_f), axis=2).reshape(m * m, -1)
     actions = np.concatenate((L, adk_f.transpose(0, 2, 1))).reshape(-1, m * m)
     rmat -= (brackets @ actions).reshape(rmat.shape)
-    return Tensor31(rmat, nm.metric, label=nm.label)
+    return Tensor31(rmat)
 
 
 def _isotropy_term(space: ReductiveSpace, metric: MetricSpec) -> np.ndarray:
@@ -145,8 +138,7 @@ def ricci_oracle(nm: NomizuMap) -> Tensor2:
     ric -= left.reshape(m, -1) @ L.reshape(-1, m)
     if nm.space.dim_k:
         ric -= _isotropy_term(nm.space, nm.metric)
-    return Tensor2(ric, nm.metric, role="ricci", scalar=float(np.trace(ric)),
-                   label=nm.label)
+    return Tensor2(ric, scalar=float(np.trace(ric)))
 
 
 def nabla_torsion(nm: NomizuMap) -> np.ndarray:
@@ -179,7 +171,7 @@ def codifferential(nm: NomizuMap) -> Tensor2:
     dt = (v @ t_rows).reshape(m, m)
     dt += nm.swapped_coeffs.reshape(m, -1) @ t3.reshape(-1, m)
     dt += t_rows @ L.reshape(-1, m)
-    return Tensor2(dt, nm.metric, role="codifferential", label=nm.label)
+    return Tensor2(dt)
 
 
 def verify_stary(nm: NomizuMap) -> float:
@@ -225,23 +217,21 @@ def ricci_alpha_closed(space: ReductiveSpace, alpha: float) -> Tensor2:
     ric = 0.25 * (1.0 - alpha**2) * b + 0.5 * (1.0 + alpha**2) * a
     bracket_sq = float(np.einsum("abc,abc->", space.bm, space.bm))
     scal = 0.25 * (1.0 - alpha**2) * bracket_sq + float(np.trace(a))
-    return Tensor2(ric, MetricSpec.killing(space.nsummands), role="ricci",
-                   scalar=scal, label=f"alpha={alpha:g}")
+    return Tensor2(ric, scalar=scal)
 
 
 def s_tensor(nm: NomizuMap) -> Tensor2:
     """Torsion-square tensor S(X,Y) = sum_i g(T(E_i,X), T(E_i,Y))."""
     t3 = torsion(nm).components
     s = np.einsum("ixc,iyc->xy", t3, t3)
-    return Tensor2(s, nm.metric, role="s-tensor", label=nm.label)
+    return Tensor2(s)
 
 
 def s_tensor_alpha_closed(space: ReductiveSpace, alpha: float) -> Tensor2:
     """Closed form S = a^2 (B - 2A) on the naturally reductive metric."""
     cas = casimir(space)
     s = alpha**2 * (space.b_form - 2.0 * cas.a_gram)
-    return Tensor2(s, MetricSpec.killing(space.nsummands), role="s-tensor",
-                   label=f"alpha={alpha:g}")
+    return Tensor2(s)
 
 
 def _st_coefficients(space: ReductiveSpace, s: float, t: float) -> tuple:
@@ -273,8 +263,7 @@ def ricci_st_closed(space: ReductiveSpace, s: float, t: float) -> Tensor2:
     ric[s2, s2] = k3 * w.w3 + cas.a_gram[s2, s2]
     sigma = frame_sigma(space, metric)
     ric /= np.outer(sigma, sigma)
-    return Tensor2(ric, metric, role="ricci", scalar=float(np.trace(ric)),
-                   label=f"s={s:g} t={t:g}")
+    return Tensor2(ric, scalar=float(np.trace(ric)))
 
 
 def scalar_st_closed(space: ReductiveSpace, s: float, t: float) -> float:
@@ -293,13 +282,15 @@ def scalar_st_closed(space: ReductiveSpace, s: float, t: float) -> float:
 
 
 def _levi_civita_map(space: ReductiveSpace, metric: MetricSpec) -> NomizuMap:
-    """Levi-Civita Nomizu map in the frame of the metric (two-summand g_t,
-    or a uniform scale of the Killing metric)."""
+    """Levi-Civita Nomizu map in the frame of the metric (any two-summand
+    metric, or a uniform scale of the Killing metric).
+
+    A two-summand metric (a, b) is a * g_t with t = b / (2a), and scaling a
+    metric leaves its Levi-Civita connection unchanged.
+    """
     if len(space.summands) == 2:
-        t = metric.t
-        if t is None:
-            raise ConnectionError_("metric is not in the g_t family")
-        return nomizu_levi_civita_gt(space, t)
+        a, b = metric.scales
+        return nomizu_levi_civita_gt(space, b / (2.0 * a)).rescaled(metric)
     if any(abs(sc - metric.scales[0]) > 1e-14 for sc in metric.scales):
         raise ConnectionError_("non-uniform metric needs a two-summand space")
     return nomizu_alpha(space, 0.0).rescaled(metric)

@@ -18,7 +18,6 @@ import numpy as np
 from .liealg import (
     InnerProduct,
     LieAlgebra,
-    LieAlgebraError,
     _read_only,
     gram_schmidt,
     negative_killing,
@@ -34,19 +33,20 @@ def _max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max(initial=0.0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricSpec:
     """Per-summand positive scales of an invariant metric.
 
     The metric is sum_i scales[i] * ip restricted to the i-th summand.
     For a two-summand space the family (1, 2t) is the usual one; t = 1/2
-    gives the Killing-type metric with all scales equal to 1.
+    gives the Killing-type metric with all scales equal to 1.  Frozen, as
+    the tables cached on a ``NomizuMap`` depend on its metric.
     """
 
     scales: tuple = (1.0,)
 
     def __post_init__(self):
-        self.scales = tuple(float(s) for s in self.scales)
+        object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
         if not all(0 < s < np.inf for s in self.scales):
             raise ReductiveError("metric scales must be positive and finite")
 
@@ -59,15 +59,6 @@ class MetricSpec:
         if not t > 0:
             raise ReductiveError("g_t requires t > 0")
         return cls((1.0, 2.0 * t))
-
-    @property
-    def t(self) -> float | None:
-        """Parameter t when the scales have the (1, 2t) shape."""
-        if len(self.scales) == 2 and abs(self.scales[0] - 1.0) < 1e-14:
-            return self.scales[1] / 2.0
-        if len(self.scales) == 1:
-            return 0.5
-        return None
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,6 @@ with its observed residuals (run with -s or -rA to see them)."""
 import numpy as np
 import pytest
 
-from redhom import catalog
 from redhom.connections import (
     exotic_un_maps,
     is_derivation,
@@ -32,7 +31,7 @@ from redhom.einstein import (
     skew_einstein_quadratic,
     thm4_identity_residual,
 )
-from redhom.equivariant import certify_bracket_span, hom_dimension
+from redhom.equivariant import hom_dimension
 from redhom.reductive import casimir
 
 from test_catalog import CP3_TABLE

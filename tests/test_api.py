@@ -1,4 +1,6 @@
-"""Knob lint: every defaulted parameter of ``redhom`` is set by some caller.
+"""API lints over the package and its tests.
+
+Knob lint: every defaulted parameter of ``redhom`` is set by some caller.
 
 A default that no call site in ``src/``, ``tests/`` or ``perfbench/``
 ever overrides is a constant in disguise: it widens the API, and a value
@@ -8,6 +10,10 @@ sets a parameter when it passes it by keyword, by position, or through
 ``*args`` / ``**kwargs``.  A call that only forwards a defaulted
 parameter of its own caller (``f(x, q=q)``) sets it exactly when that
 parameter is itself set somewhere.
+
+Import lint: every name a module of ``src/redhom`` or ``tests/`` imports
+is read in that module.  ``redhom/__init__.py`` is exempt: its imports
+are the public re-exports.
 """
 
 from __future__ import annotations
@@ -124,3 +130,33 @@ def unset_parameters() -> list:
 def test_every_default_is_set_by_some_caller():
     unset = unset_parameters()
     assert not unset, f"{len(unset)} defaulted parameters no caller sets: {unset}"
+
+
+def _imported_names(tree) -> list:
+    """(bound name, line) of every import outside ``__future__``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [((a.asname or a.name).split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [(a.asname or a.name, node.lineno) for a in node.names if a.name != "*"]
+    return out
+
+
+def unread_imports() -> list:
+    """Sorted ``path:line name`` of every imported name its module never reads."""
+    out = []
+    for path, tree in _trees("src/redhom", "tests"):
+        if path.name == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        rel = path.relative_to(ROOT)
+        out += [f"{rel}:{line} {name}" for name, line in _imported_names(tree)
+                if name not in read]
+    return sorted(out)
+
+
+def test_every_import_is_read():
+    unread = unread_imports()
+    assert not unread, f"{len(unread)} imported names never read: {unread}"

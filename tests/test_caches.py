@@ -202,7 +202,7 @@ def test_torsion_is_exactly_antisymmetric_and_codifferential_copy_free(flag_b54,
         coeffs = np.random.default_rng(6).standard_normal((space.dim_m,) * 3)
         maps = (nomizu_st(space, 1.7, 0.8), nomizu_st(space, -0.6, 0.5),
                 connections.nomizu_alpha(space, 0.3),
-                NomizuMap(space, MetricSpec.g_t(0.7), coeffs, "random"))
+                NomizuMap(space, MetricSpec.g_t(0.7), coeffs))
         for nm in maps:
             t = nm.torsion_table
             assert np.array_equal(t, -t.transpose(1, 0, 2))
@@ -213,7 +213,7 @@ def test_torsion_is_exactly_antisymmetric_and_codifferential_copy_free(flag_b54,
 def test_skew_residual_is_the_two_temporary_max(flag_b54):
     coeffs = np.random.default_rng(4).standard_normal((flag_b54.dim_m,) * 3)
     maps = (nomizu_st(flag_b54, 1.7, 0.5), nomizu_st(flag_b54, 2.9, 0.3),
-            NomizuMap(flag_b54, MetricSpec.g_t(0.7), coeffs, "random"))
+            NomizuMap(flag_b54, MetricSpec.g_t(0.7), coeffs))
     for nm in maps:
         t3 = torsion(nm)
         t = t3.components
@@ -290,9 +290,16 @@ def test_nomizu_coefficients_and_torsion_are_read_only(cp3):
         nm.coeffs = np.zeros_like(nm.coeffs)
 
 
+def test_nomizu_metric_is_frozen(cp3):
+    nm = nomizu_st(cp3, 1.0, 0.8)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        nm.metric.scales = (1.0, 1.0)
+    assert np.abs(torsion(nm).components).max() < 1e-12
+
+
 def test_nomizu_map_copies_a_writeable_array(cp3):
     coeffs = np.random.default_rng(3).standard_normal((cp3.dim_m,) * 3)
-    nm = NomizuMap(cp3, MetricSpec.g_t(0.5), coeffs, "random")
+    nm = NomizuMap(cp3, MetricSpec.g_t(0.5), coeffs)
     before = nm.torsion_table.copy()
     coeffs[0, 0, 0] += 1.0                    # the caller's array stays writeable
     assert np.array_equal(nm.torsion_table, before)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redhom import liealg, reductive
+from redhom import liealg
 from redhom.connections import (
     ConnectionError_,
     NomizuMap,
@@ -313,7 +313,7 @@ def test_equivariance_residual_matches_einsum_reference(fixture, request):
     space = request.getfixturevalue(fixture)
     metric = MetricSpec.g_t(0.7) if space.nsummands == 2 else MetricSpec.killing(1)
     coeffs = np.random.default_rng(5).standard_normal((space.dim_m,) * 3)
-    maps = [nomizu_alpha(space, -1.0), NomizuMap(space, metric, coeffs, "random")]
+    maps = [nomizu_alpha(space, -1.0), NomizuMap(space, metric, coeffs)]
     if space.nsummands == 2:
         maps.append(nomizu_st(space, 2.0, 0.3))
     refs = []

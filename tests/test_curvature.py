@@ -6,7 +6,6 @@ import pytest
 from redhom.connections import (
     NomizuMap,
     nomizu_alpha,
-    nomizu_levi_civita_gt,
     nomizu_st,
 )
 from redhom.curvature import (
@@ -96,7 +95,7 @@ def test_ricci_oracle_s4_canonical(sphere_s4):
 
 def test_ricci_oracle_runs_on_arbitrary_map(cp3, rng):
     coeffs = rng.standard_normal((6, 6, 6))
-    nm = NomizuMap(cp3, MetricSpec.killing(2), coeffs, "random")
+    nm = NomizuMap(cp3, MetricSpec.killing(2), coeffs)
     ric = ricci_oracle(nm)
     assert ric.components.shape == (6, 6)
 
@@ -271,6 +270,20 @@ def test_levi_civita_follows_a_uniform_metric_scale(sphere_s7, scale):
     assert scalar_relation_residual(half) <= 1e-12
 
 
+@pytest.mark.parametrize("scales", [(3.0, 3.0), (2.0, 5.0), (0.5, 0.7)])
+def test_levi_civita_follows_any_two_summand_metric(cp3, scales):
+    # (a, b) is a * g_t with t = b / (2a); the scale leaves nabla^g unchanged
+    metric = MetricSpec(scales)
+    lc = nomizu_st(cp3, 1.0, scales[1] / (2.0 * scales[0])).rescaled(metric)
+    assert np.abs(torsion(lc).components).max() <= 1e-12
+    assert np.abs(lc.coeffs + lc.coeffs.transpose(0, 2, 1)).max() <= 1e-12
+    tt = torsion_type(lc)
+    assert max(tt["vectorial_norm"], tt["skew_norm"], tt["cartan_norm"]) <= 1e-12
+    if scales[0] == scales[1]:
+        skew = nomizu_st(cp3, 3.0, 0.5).rescaled(metric)
+        assert scalar_relation_residual(skew) <= 1e-12
+
+
 def test_jacobian_symmetric_space(sphere_s4):
     j = jacobian_m(sphere_s4)
     assert j["is_zero"]
@@ -327,7 +340,7 @@ def _random_map(space, seed):
               else MetricSpec.killing(space.nsummands))
     m = space.dim_m
     coeffs = np.random.default_rng(seed).standard_normal((m, m, m))
-    return NomizuMap(space, metric, coeffs, "random")
+    return NomizuMap(space, metric, coeffs)
 
 
 @pytest.mark.parametrize("fixture", ["cp3", "sphere_s7", "berger", "su3_group",

@@ -13,7 +13,6 @@ from redhom import catalog, equivariant
 from redhom.cli import resolve_space
 from redhom.equivariant import (
     SOLVE_BUDGET_BYTES,
-    RankAmbiguityError,
     SolveTooLargeError,
     _apply_equivariance,
     _equivariance_operator,

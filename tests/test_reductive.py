@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from redhom import catalog, liealg, reductive
+from redhom import catalog, liealg
 from redhom.liealg import build_so, build_su, negative_killing
 from redhom.reductive import (
     MetricSpec,
@@ -136,7 +136,6 @@ def test_center_of_k(cp3, sphere_s7):
 
 def test_metric_spec():
     assert MetricSpec.g_t(0.5).scales == (1.0, 1.0)
-    assert MetricSpec.g_t(1.0).t == 1.0
     with pytest.raises(ReductiveError):
         MetricSpec.g_t(0.0)
     with pytest.raises(ReductiveError):
