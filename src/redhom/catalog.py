@@ -8,8 +8,10 @@ The flag generators also produce the Killing-Einstein parameter tables.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -302,12 +304,18 @@ def build_flag(family: str, ell: int, p: int) -> ReductiveSpace:
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
-    """Catalog entry resolvable to a reductive space."""
+    """Catalog entry resolvable to a reductive space.
+
+    ``expected`` is a read-only copy: ``parse_id`` hands out shared entries.
+    """
 
     id: str
     family: str
     params: tuple = ()
-    expected: dict = field(default_factory=dict)
+    expected: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "expected", MappingProxyType(dict(self.expected)))
 
 
 _NAMED = {

@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .liealg import (
+    _BLOCK,
     DEFAULT_TOL,
     LieAlgebra,
     _read_only,
@@ -201,17 +202,27 @@ def satisfies_stc(nm: NomizuMap) -> tuple[bool, float]:
 
 
 def equivariance_residual(nm: NomizuMap) -> float:
-    """Infinitesimal Ad(k)-equivariance defect of the map."""
+    """Infinitesimal Ad(k)-equivariance defect of the map.
+
+    Taken over blocks of rows w of k, of at most ``_BLOCK`` defect entries
+    and at least one row, so the whole (dim k, m, m, m) defect is never
+    formed.
+    """
     space = nm.space
     if space.dim_k == 0:
         return 0.0
     _, _, adk_f, _ = nm.frame_tables
     L = nm.coeffs                                # Lambda(E_a)[i,j] = L[a,j,i]
-    # ad(W) Lambda(X) - Lambda(X) ad(W) - Lambda(ad(W) X), indexed [w,i,a,k]
-    defect = np.tensordot(adk_f, L, (2, 2))
-    defect -= np.tensordot(L, adk_f, (1, 1)).transpose(2, 1, 0, 3)
-    defect -= np.tensordot(adk_f, L, (1, 0)).transpose(0, 3, 1, 2)
-    return float(np.abs(defect, out=defect).max())
+    step = max(1, _BLOCK // nm.dim ** 3)
+    worst = 0.0
+    for w in range(0, space.dim_k, step):
+        ad = adk_f[w:w + step]
+        # ad(W) Lambda(X) - Lambda(X) ad(W) - Lambda(ad(W) X), indexed [w,i,a,k]
+        defect = np.tensordot(ad, L, (2, 2))
+        defect -= np.tensordot(L, ad, (1, 1)).transpose(2, 1, 0, 3)
+        defect -= np.tensordot(ad, L, (1, 0)).transpose(0, 3, 1, 2)
+        worst = max(worst, float(np.abs(defect, out=defect).max()))
+    return worst
 
 
 def derivation_action(L: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -3,8 +3,9 @@
 Solves the infinitesimal equivariance system for bilinear maps
 eta: m x m -> m under the isotropy action; the null space dimension is
 the number of independent invariant connections.  The system is never
-stacked: its Gram matrix is assembled slot by slot and diagonalized, and
-the certificates apply it by contractions.  Rank decisions use an
+stacked: its Gram matrix is assembled slot by slot, cut into its blocks
+on the skew and symmetric maps and diagonalized block by block, and the
+certificates apply it by contractions.  Rank decisions use an
 explicit gap requirement, since the integer answers are the whole point.
 """
 
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .liealg import _BLOCK
 from .reductive import ReductiveError, ReductiveSpace
 
 
@@ -87,7 +89,9 @@ def _gram(space: ReductiveSpace) -> np.ndarray:
     on slot t, the identity on the other slots.  Each term is an n x n or
     n^2 x n^2 matrix added into a writeable einsum view of G, diagonal in
     the slots the term leaves alone: O(dim k n^4 + n^6) work and no array
-    of G's size besides G.
+    of G's size besides G.  numpy copies an aliased in-place operand, so
+    each view takes its term one index of its last slot at a time, which
+    keeps that copy to n^4 entries.
     """
     n = space.dim_m
     out, inn = "abc", "def"
@@ -103,37 +107,85 @@ def _gram(space: ReductiveSpace) -> np.ndarray:
             term = np.einsum("kji,klm->ijlm", actions[s], actions[t])
             axes = out[s] + inn[s] + out[t] + inn[t]
         view = np.einsum(f"{out}{cols}->{axes}{rest}", gram)
-        view += term.reshape(term.shape + (1,) * len(rest))
+        term = term.reshape(term.shape + (1,) * (len(rest) - 1))
+        for r in range(n):
+            view[..., r] += term
     return gram.reshape(n**3, n**3)
 
 
-def solve_bytes(space: ReductiveSpace) -> int:
-    """Peak bytes of the Gram solve, n = dim m, N = n^3.
+def _swap_rows(n: int, sign: float) -> tuple:
+    """Rows a, b of G and weights c of the basis c (e_a + sign e_b) of the
+    sign-eigenspace of the input-slot swap eta[x, y, z] -> eta[y, x, z].
 
-    Five N x N float64 arrays: G, and inside ``np.linalg.eigh`` LAPACK's
-    copy of G, the two N x N of divide-and-conquer workspace and the
-    eigenvectors.  With dim k = 0 the answer is the N x N identity.
+    a = (x, y, z) and b = (y, x, z) over pairs x < y, and x = y too when
+    sign = +1; c is 1/sqrt(2), or 1/2 where a = b, so the basis is
+    orthonormal.  Ordered by pair, then z.
     """
-    cube = space.dim_m ** 3
-    return 8 * cube * cube * (5 if space.dim_k else 1)
+    x, y = np.triu_indices(n, 1 if sign < 0 else 0)
+    z = np.arange(n)
+    a = ((x * n + y)[:, None] * n + z).ravel()
+    b = ((y * n + x)[:, None] * n + z).ravel()
+    c = np.repeat(np.where(x == y, 0.5, np.sqrt(0.5)), n)
+    return a, b, c
 
 
-def _subspace_rank(vectors: np.ndarray) -> int:
-    if vectors.size == 0:
-        return 0
-    s = np.linalg.svd(vectors, compute_uv=False)
-    if s.size == 0 or s[0] < 1e-12:
-        return 0
-    return int((s > s[0] * 1e-9).sum())
+def _swap_block(gram: np.ndarray, n: int, sign: float) -> np.ndarray:
+    """Q^T G Q on the sign-eigenspace of the swap, Q the basis of ``_swap_rows``.
+
+    Entry (i, j) is c_i c_j (G[a_i, a_j] + G[b_i, b_j] + sign G[a_i, b_j]
+    + sign G[b_i, a_j]).  It is gathered from G a band of rows at a time,
+    with one gather of at most ``_BLOCK`` entries alive, so no other array
+    of the block's size is formed.
+    """
+    a, b, c = _swap_rows(n, sign)
+    combine = np.add if sign > 0 else np.subtract
+    block = np.empty((a.size, a.size))
+    step = max(1, _BLOCK // a.size)
+    for i in range(0, a.size, step):
+        ra, rb = a[i:i + step, None], b[i:i + step, None]
+        band = block[i:i + step]
+        band[...] = gram[ra, a]
+        band += gram[rb, b]
+        combine(band, gram[ra, b], out=band)
+        combine(band, gram[rb, a], out=band)
+        band *= c[i:i + step, None]
+        band *= c
+    return block
+
+
+def solve_bytes(space: ReductiveSpace) -> int:
+    """Peak bytes of the swap-block solve, n = dim m, N = n^3.
+
+    G (N x N) is cut into its blocks on Lambda^2(m*) (x) m and Sym^2(m*) (x) m,
+    of sizes A = n^2 (n - 1) / 2 and S = n^2 (n + 1) / 2, and freed.  Then
+    the skew block is diagonalized beside the symmetric one, and the
+    symmetric one alone.  ``np.linalg.eigh`` of a K x K block holds four
+    more K x K arrays: LAPACK's copy, the two of divide-and-conquer
+    workspace and the eigenvectors.  So the peak is the largest of
+    N^2 + A^2 + S^2, S^2 + 5 A^2 and 5 S^2 doubles, 1.5 to 1.63 N^2, plus
+    two ``_BLOCK`` bands of gather scratch.  With dim k = 0 the answer is
+    the N x N identity.
+    """
+    n = space.dim_m
+    cube = n ** 3
+    if not space.dim_k:
+        return 8 * cube * cube
+    skew, sym = n * n * (n - 1) // 2, n * n * (n + 1) // 2
+    return 8 * (max(cube * cube + skew * skew + sym * sym,
+                    sym * sym + 5 * skew * skew, 5 * sym * sym) + 2 * _BLOCK)
 
 
 def hom_dimension(space: ReductiveSpace) -> EquivariantSolveResult:
     """Solve for all isotropy-equivariant bilinear maps m x m -> m.
 
     The system A_a eta = 0 has dim k * n^3 equations in n^3 unknowns.  Its
-    Gram matrix G = sum_a A_a^T A_a is diagonalized with ``eigh``; the
-    singular values of the system are sqrt(max(lambda, 0)) and the null
-    space is spanned by the eigenvectors of the discarded eigenvalues.
+    Gram matrix G = sum_a A_a^T A_a commutes with the swap P of the two
+    input slots, which both carry -ad^T, so G is block diagonal on the
+    skew and symmetric eigenspaces of P.  The two blocks are cut from G, G
+    is freed, and each block is diagonalized with ``eigh``; the singular
+    values of the system are sqrt(max(lambda, 0)) over both blocks, and
+    the null vectors of each block, mapped back to n^3 coordinates, span
+    its skew or symmetric invariant maps.
 
     The rank cut lambda > lambda_max * 1e-7 is made in the squared
     scale, where rounding leaves the zero eigenvalues near eps * lambda_max
@@ -141,11 +193,15 @@ def hom_dimension(space: ReductiveSpace) -> EquivariantSolveResult:
     ad_a is skew in the orthonormal m-frame, so G = -sum_a A_a^2 is the
     Casimir operator of k on m* (x) m* (x) m: it vanishes on the invariants
     and on each nontrivial isotypic component equals a positive Casimir
-    constant, so the kept eigenvalues are bounded away from zero.  The gap
-    is the smallest kept singular value over the square root of the largest
-    discarded |lambda|; RankAmbiguityError is raised when it is below
-    ``RANK_GAP_MIN``.  SolveTooLargeError is raised, before anything is built,
-    when ``solve_bytes`` exceeds ``SOLVE_BUDGET_BYTES``.
+    constant, so the kept eigenvalues are bounded away from zero.  The
+    skew block is solved first, while lambda_max is only bounded by the
+    Frobenius norm of the symmetric block, so its eigenvectors under the
+    bounded cut are kept and the exact cut is applied once both spectra
+    are known.  The gap is the smallest kept singular value over the
+    square root of the largest discarded |lambda|; RankAmbiguityError is
+    raised when it is below ``RANK_GAP_MIN``.  SolveTooLargeError is
+    raised, before anything is built, when ``solve_bytes`` exceeds
+    ``SOLVE_BUDGET_BYTES``.
     """
     n = space.dim_m
     need = solve_bytes(space)
@@ -158,9 +214,22 @@ def hom_dimension(space: ReductiveSpace) -> EquivariantSolveResult:
         basis = np.eye(n**3).reshape(-1, n, n, n)
         return EquivariantSolveResult(n**3, basis, n * n * (n - 1) // 2,
                                       n * n * (n + 1) // 2, np.zeros(0), np.inf)
-    lam, vecs = np.linalg.eigh(_gram(space))
+    gram = _gram(space)
+    skew, sym = _swap_block(gram, n, -1.0), _swap_block(gram, n, 1.0)
+    del gram
+    lam_skew, vecs = np.linalg.eigh(skew)
+    del skew
+    # lambda_max <= max(the skew one, |sym|_F): keep the skew eigenvectors
+    # under that cut, and cut exactly once the symmetric spectrum is known
+    bound = max(lam_skew.max(initial=0.0), float(np.linalg.norm(sym)))
+    kept = vecs[:, :int((lam_skew <= bound * 1e-7).sum())].copy()
+    del vecs
+    lam_sym, vecs = np.linalg.eigh(sym)
+    del sym
+    lam = np.sort(np.concatenate([lam_skew, lam_sym]))
+    cut = lam[-1] * 1e-7
     s = np.sqrt(np.clip(lam[::-1], 0.0, None))
-    rank = int((lam > lam[-1] * 1e-7).sum())
+    rank = int((lam > cut).sum())
     dimension = lam.size - rank
     noise = np.sqrt(np.abs(lam[:dimension]).max()) if dimension else 0.0
     if rank and noise > 0:
@@ -171,19 +240,17 @@ def hom_dimension(space: ReductiveSpace) -> EquivariantSolveResult:
             )
     else:
         gap = np.inf
-    basis = np.ascontiguousarray(vecs[:, :dimension].T).reshape(dimension, n, n, n)
-    if dimension:
-        sym = (basis + basis.transpose(0, 2, 1, 3)).reshape(dimension, -1) / 2.0
-        skew = (basis - basis.transpose(0, 2, 1, 3)).reshape(dimension, -1) / 2.0
-        sym_dim = _subspace_rank(sym)
-        skew_dim = _subspace_rank(skew)
-    else:
-        sym_dim = skew_dim = 0
-    if sym_dim + skew_dim != dimension:
-        raise RankAmbiguityError(
-            f"skew/symmetric split {skew_dim}+{sym_dim} != {dimension}"
-        )
-    return EquivariantSolveResult(dimension, basis, skew_dim, sym_dim, s, gap)
+    skew_dim = int((lam_skew <= cut).sum())
+    sym_dim = dimension - skew_dim
+    basis = np.zeros((dimension, n**3))
+    for sign, rows, null in ((-1.0, slice(0, skew_dim), kept[:, :skew_dim]),
+                             (1.0, slice(skew_dim, dimension), vecs[:, :sym_dim])):
+        a, b, c = _swap_rows(n, sign)
+        null = null.T * c
+        basis[rows, a] = null
+        basis[rows, b] += sign * null
+    return EquivariantSolveResult(dimension, basis.reshape(dimension, n, n, n),
+                                  skew_dim, sym_dim, s, gap)
 
 
 def certify_bracket_span(result: EquivariantSolveResult, space: ReductiveSpace) -> dict:

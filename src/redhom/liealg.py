@@ -39,11 +39,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def nullspace(a, rtol: float = 1e-10):
-    """Orthonormal basis (rows) of the right null space of ``a``."""
+    """Orthonormal basis (rows) of the right null space of ``a``.
+
+    A tall ``a`` (rows >= cols) takes the thin SVD, whose vt is already
+    square, so the rows x rows U is never formed; a wide one needs the full vt.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.shape[0] == 0 or not np.any(a):
         return np.eye(a.shape[1])
-    _, s, vt = np.linalg.svd(a)
+    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     rank = int((s > s[0] * rtol).sum())
     return vt[rank:]
 
@@ -55,8 +59,9 @@ class LieAlgebra:
     ``basis`` has shape (dim, N, N); ``structure[i, j, k]`` are the
     coefficients of [Z_i, Z_j] in the basis; ``killing[i, j]`` is
     tr(ad Z_i ad Z_j).  Instances are immutable: the dataclass is frozen
-    and the arrays are read-only copies, so a write raises ``ValueError``
-    instead of corrupting a cached algebra.
+    and the arrays are read-only, so a write raises ``ValueError`` instead
+    of corrupting a cached algebra; a writeable or borrowed array is
+    copied first.
     """
 
     name: str
@@ -66,7 +71,9 @@ class LieAlgebra:
 
     def __post_init__(self):
         for attr in ("basis", "structure", "killing"):
-            array = _read_only(np.array(getattr(self, attr), dtype=float))
+            array = np.asarray(getattr(self, attr), dtype=float)
+            if array.flags.writeable or not array.flags.owndata:
+                array = _read_only(array.copy())
             object.__setattr__(self, attr, array)
 
     @property
@@ -145,13 +152,20 @@ class LieAlgebra:
         }
 
 
-def _product(rows: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``rows @ right`` over the nonzero columns of ``rows``, flattened, with
-    one trailing zero that every clipped index past the end reads."""
-    inner = np.flatnonzero((rows != 0).any(axis=0))
-    out = np.zeros(rows.shape[0] * right.shape[1] + 1)
-    np.matmul(rows[:, inner], right[inner],
-              out=out[:-1].reshape(rows.shape[0], right.shape[1]))
+def _product(rows: np.ndarray, right: np.ndarray, inner: np.ndarray,
+             cols: np.ndarray) -> np.ndarray:
+    """``rows[:, inner] @ right[inner][:, cols]``, flattened, with one
+    trailing zero that every clipped index past the end reads.
+
+    The columns of ``right`` are gathered a chunk of at most ``_BLOCK``
+    entries at a time, so ``right`` is never copied whole.
+    """
+    lhs = rows[:, inner]
+    out = np.zeros(rows.shape[0] * cols.size + 1)
+    table = out[:-1].reshape(rows.shape[0], cols.size)
+    step = max(1, _BLOCK // max(inner.size, 1))
+    for j in range(0, cols.size, step):
+        np.matmul(lhs, right[inner[:, None], cols[j:j + step]], out=table[:, j:j + step])
     return out
 
 
@@ -171,22 +185,32 @@ def _jacobi_residual(c: np.ndarray) -> float:
     beside this) J is alternating, so the sorted triples are the whole
     check, and J can be nonzero only where one of its three terms is.
     T is never stored.  For a block of smallest indices a0 <= a < a1 two
-    slabs of it are formed: P, its rows (a, q), and Q, its columns (a, m)
-    over the rows (b, e) with b >= a0.  P holds the first and third terms
-    of every triple (a, b, e) in the block and Q the second, so each nonzero
-    of P or Q names a triple whose three terms are read back from P and Q.
+    slabs of it are formed: P, its rows (a, q) over the columns (r, m) with
+    r > a0, and Q, its columns (a, m) over the rows (b, e) with b >= a0.
+    P holds the first and third terms of every triple (a, b, e) in the
+    block and Q the second, so each nonzero of P or Q names a triple whose
+    three terms are read back from P and Q.
     Blocks grow while P and Q fit in ``_BLOCK`` entries, and their nonzeros
     are read ``_BLOCK`` at a time.  A block holds at least one a, whose
     slabs are O(d^3) even for a dense c, never the d^4 product; each product
     runs only over the brackets its rows reach, so a sparse c costs little.
+    Beside the slabs the call keeps the nonzero bracket rows and c's
+    nonzero pattern, and gathers the right operand of each product from c,
+    ``_BLOCK`` entries at a time, so no copy of c is made.
     """
     d = c.shape[0]
-    x, y = np.nonzero(np.triu((c != 0).any(axis=2), 1))
-    pairs = c[x, y]
-    right = c.reshape(d, d * d)
-    cols = np.flatnonzero((right != 0).any(axis=0))
-    right = right[:, cols]
+    nonzero = c != 0
+    x, y = np.nonzero(np.triu(nonzero.any(axis=2), 1))
+    if not x.size:
+        return 0.0
+    right, flat = c.reshape(d, d * d), nonzero.reshape(d, d * d)
+    cols = np.flatnonzero(flat.any(axis=0))
     col_r, col_m = np.divmod(cols, d)
+    # the last bracket row reaching each l: row r0 onwards reaches l iff last[l] >= r0
+    pairs = c[x, y]
+    reached = pairs != 0
+    last = x.size - 1 - reached[::-1].argmax(axis=0)
+    last[~reached.any(axis=0)] = -1
     row_start = np.searchsorted(x, np.arange(d + 1)).tolist()
     col_start = np.searchsorted(col_r, np.arange(d + 1)).tolist()
     # rows and columns of T; an absent one maps past the end of every slab
@@ -199,24 +223,28 @@ def _jacobi_residual(c: np.ndarray) -> float:
 
     jacobi, a0 = 0.0, 0
     while a0 < d:
-        # grow the block of smallest indices [a0, a1) while its slabs fit
-        r0, c0, a1 = row_start[a0], col_start[a0], a0 + 1
-        while a1 < d and ((row_start[a1 + 1] - r0) * ncols
+        # grow the block of smallest indices [a0, a1) while its slabs fit;
+        # P's columns start at p0, the first with r > a0
+        r0, c0, p0, a1 = row_start[a0], col_start[a0], col_start[a0 + 1], a0 + 1
+        pcols = ncols - p0
+        while a1 < d and ((row_start[a1 + 1] - r0) * pcols
                           + (x.size - r0) * (col_start[a1 + 1] - c0)) <= _BLOCK:
             a1 += 1
         r1, c1 = row_start[a1], col_start[a1]
         nq = c1 - c0
-        p = _product(pairs[r0:r1], right)
-        reach = np.flatnonzero((right[:, c0:c1] != 0).any(axis=1))
-        q = _product(pairs[r0:, reach], right[reach, c0:c1])
+        p = _product(pairs[r0:r1], right, np.flatnonzero(reached[r0:r1].any(axis=0)),
+                     cols[p0:])
+        reach = np.flatnonzero(flat[:, cols[c0:c1]].any(axis=1) & (last >= r0))
+        q = _product(pairs[r0:], right, reach, cols[c0:c1])
 
-        def in_p(a, s, r, m):  # T(a,s,r,m) for a in the block
-            return p.take((row_of[a * d + s] - r0) * ncols + col_of[r * d + m], mode="clip")
+        def in_p(a, s, r, m):  # T(a,s,r,m) for a in the block and r > a
+            return p.take((row_of[a * d + s] - r0) * pcols + col_of[r * d + m] - p0,
+                          mode="clip")
 
         # nonzeros of P: T(a,s,r,m) with a < r != s, the triple a < min(s,r) < max(s,r)
         for idx in _nonzeros(p):
-            i, j = np.divmod(idx, ncols)
-            a, s, r, m = x[r0 + i], y[r0 + i], col_r[j], col_m[j]
+            i, j = np.divmod(idx, pcols)
+            a, s, r, m = x[r0 + i], y[r0 + i], col_r[p0 + j], col_m[p0 + j]
             keep = (r > a) & (r != s)
             idx, a, s, r, m = idx[keep], a[keep], s[keep], r[keep], m[keep]
             jac = p[idx] - in_p(a, r, s, m)
@@ -246,9 +274,12 @@ def from_basis(name: str, mats) -> LieAlgebra:
     (part of one row i of the table), with the closure residual and its
     scale kept as running maxima, so the dim^2 N^2 commutator table is
     never stored.  [Z_j, Z_i] is the exact negative of [Z_i, Z_j] and
-    [Z_i, Z_i] = 0, so their residuals are the ones already taken.
+    [Z_i, Z_i] = 0, so their residuals are the ones already taken.  Small
+    constants are zeroed block by block and the Killing form is summed
+    over blocks of its columns, so no dim^3 temporary is formed, and the
+    algebra takes the arrays built here without copying them.
     """
-    mats = np.asarray(mats, dtype=float)
+    mats = _read_only(np.array(mats, dtype=float))
     dim = mats.shape[0]
     flat = mats.reshape(dim, -1)
     if np.linalg.matrix_rank(flat, tol=1e-10) != dim:
@@ -262,17 +293,27 @@ def from_basis(name: str, mats) -> LieAlgebra:
             part = mats[j:j + step]
             comm = (mats[i] @ part - part @ mats[i]).reshape(part.shape[0], -1)
             coeffs = comm @ pinv
-            structure[i, j:j + step] = coeffs
-            structure[j:j + step, i] = -coeffs
             closure = max(closure, np.abs(coeffs @ flat - comm).max())
             scale = max(scale, np.abs(comm).max())
+            coeffs[np.abs(coeffs) < DEFAULT_TOL] = 0.0
+            structure[i, j:j + step] = coeffs
+            # 0 - x rather than -x: a zeroed constant stays +0.0
+            structure[j:j + step, i] = 0.0 - coeffs
     if closure > 1e-8 * scale:
         raise LieAlgebraError(
             f"basis of {name} is not bracket-closed (residual {closure:.3e})"
         )
-    structure[np.abs(structure) < DEFAULT_TOL] = 0.0
-    killing = np.tensordot(structure, structure, ([1, 2], [2, 1]))
-    alg = LieAlgebra(name=name, basis=mats, structure=structure, killing=killing)
+    # killing[i, j] = sum_{k,l} c[i,k,l] c[j,l,k], a block of columns j at a
+    # time: at most _BLOCK entries, unless that takes more than four blocks,
+    # as each block reads the whole structure tensor
+    killing = np.empty((dim, dim))
+    rows = structure.reshape(dim, -1)
+    step = max(1, _BLOCK // max(dim, 1) ** 2, -(-dim // 4))
+    for j in range(0, dim, step):
+        cols = structure[j:j + step].transpose(2, 1, 0).reshape(dim * dim, -1)
+        np.matmul(rows, cols, out=killing[:, j:j + step])
+    alg = LieAlgebra(name=name, basis=mats, structure=_read_only(structure),
+                     killing=_read_only(killing))
     report = alg.validate(tol=1e-8)
     if not report["ok"]:
         raise LieAlgebraError(f"{name} failed validation: {report}")

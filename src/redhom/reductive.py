@@ -116,26 +116,33 @@ class ReductiveSpace:
     def m_bracket_vectors(self) -> np.ndarray:
         """[Z_a, Z_b] as algebra coefficient vectors, shape (M, M, dim g).
 
-        Only ``validate`` reads it; ``bm`` and ``bk`` are read off a
-        transient table unless this one is already cached.
+        The package never caches it: ``bm``, ``bk`` and ``validate`` read
+        it when something already did, and otherwise use a transient table.
         """
         return _read_only(self.algebra.brackets(self.m_basis, self.m_basis))
 
-    @cached_property
-    def _m_bracket_parts(self) -> tuple:
-        """(bm, bk) from one bracket table: the cached ``m_bracket_vectors``
-        when something already read it, else a transient one.
+    def _bracket_vectors(self) -> np.ndarray:
+        """The cached ``m_bracket_vectors`` if any, else a transient table."""
+        vecs = vars(self).get("m_bracket_vectors")
+        if vecs is None:
+            vecs = self.algebra.brackets(self.m_basis, self.m_basis)
+        return vecs
+
+    def _bracket_parts(self, vecs: np.ndarray) -> tuple:
+        """(bm, bk) read off the bracket table ``vecs``.
 
         bm is antisymmetrized, (raw - raw[b,a,c]) / 2, so that
         bm[a,b,c] == -bm[b,a,c] holds bit for bit.
         """
-        vecs = vars(self).get("m_bracket_vectors")
-        if vecs is None:
-            vecs = self.algebra.brackets(self.m_basis, self.m_basis)
         raw = vecs @ (self.ip.gram @ self.m_basis.T)
         bm = raw - raw.transpose(1, 0, 2)
         bm *= 0.5
         return _read_only(bm), _read_only(vecs @ (self.ip.gram @ self.k_basis.T))
+
+    @cached_property
+    def _m_bracket_parts(self) -> tuple:
+        """(bm, bk) from one bracket table, ``_bracket_vectors``."""
+        return self._bracket_parts(self._bracket_vectors())
 
     @cached_property
     def bm(self) -> np.ndarray:
@@ -195,21 +202,32 @@ class ReductiveSpace:
         return _isotropy_pairs(self)
 
     def validate(self, tol: float = 1e-8) -> dict:
-        """Residuals of the reductive-space invariants."""
+        """Residuals of the reductive-space invariants.
+
+        The bracket tables of the split row are the cached ones when
+        something already read them, else transient: the check leaves no
+        M^2 dim g table on a space that may be thrown away, such as the
+        unsplit space of a flag build.
+        """
         g = self.ip.gram
         k, m = self.k_basis, self.m_basis
-        kk = self.algebra.brackets(k, k)
-        km = self.algebra.brackets(k, m)
         res = {
             "m_orthonormal": _max_abs(m @ g @ m.T - np.eye(self.dim_m)),
             "k_m_orthogonal": _max_abs(k @ g @ m.T),
             # [k, k] and [k, m] must be rebuilt by their k- and m-parts
-            "k_closed": _max_abs(kk - self.k_structure @ k),
-            "k_m_in_m": _max_abs(km - self.adk.transpose(0, 2, 1) @ m),
-            # [Z_a, Z_b] must decompose exactly into k- and m-parts
-            "m_bracket_split": _max_abs(
-                self.m_bracket_vectors - self.bm @ m - self.bk @ k),
+            "k_closed": _max_abs(self.algebra.brackets(k, k) - self.k_structure @ k),
+            "k_m_in_m": _max_abs(self.algebra.brackets(k, m)
+                                 - self.adk.transpose(0, 2, 1) @ m),
         }
+        # [Z_a, Z_b] must decompose exactly into k- and m-parts: the defect
+        # (vecs - bm m) - bk k, formed in one buffer
+        vecs = self._bracket_vectors()
+        bm, bk = vars(self).get("_m_bracket_parts") or self._bracket_parts(vecs)
+        split = bm @ m
+        np.subtract(vecs, split, out=split)
+        del vecs, bm
+        split -= bk @ k
+        res["m_bracket_split"] = _max_abs(split)
         res["ok"] = bool(max(res.values()) < tol)
         return res
 
@@ -379,11 +397,12 @@ def _cluster_eigh(op: np.ndarray, gap: float):
     return blocks
 
 
-def _inclusion_residuals(space: ReductiveSpace) -> dict:
-    """Residuals of the four two-summand bracket inclusions."""
+def _inclusion_residuals(space: ReductiveSpace, swap: bool = False) -> dict:
+    """Residuals of the four two-summand bracket inclusions; with ``swap``
+    those of the order (m2, m1), read off the same tables."""
     if len(space.summands) != 2:
         raise ReductiveError("inclusion check requires exactly two summands")
-    s1, s2 = space.summand_slices()
+    s1, s2 = space.summand_slices()[::-1] if swap else space.summand_slices()
     bm, bk, adk = space.bm, space.bk, space.adk
     res = {}
     # [k, m_i] in m_i
@@ -446,18 +465,18 @@ def split_isotropy(space: ReductiveSpace) -> ReductiveSpace:
 
 
 def _order_two_summands(space: ReductiveSpace, blocks):
-    """Pick the (m1, m2) assignment satisfying the bracket inclusions."""
+    """Pick the (m1, m2) assignment satisfying the bracket inclusions.
+
+    Both orders are scored on the tables of one trial space, the second
+    with its summand slices swapped.
+    """
+    d1 = blocks[0].shape[0]
+    trial = ReductiveSpace(algebra=space.algebra, ip=space.ip, k_basis=space.k_basis,
+                           m_basis=np.vstack([blk @ space.m_basis for blk in blocks]),
+                           summands=((0, d1), (d1, space.dim_m)), name=space.name)
     best = None
     for order in ([0, 1], [1, 0]):
-        m_new = np.vstack([blocks[order[0]] @ space.m_basis,
-                           blocks[order[1]] @ space.m_basis])
-        d1 = blocks[order[0]].shape[0]
-        trial = ReductiveSpace(algebra=space.algebra, ip=space.ip,
-                               k_basis=space.k_basis, m_basis=m_new,
-                               summands=((0, d1), (d1, space.dim_m)),
-                               name=space.name)
-        res = _inclusion_residuals(trial)
-        worst = max(res.values())
+        worst = max(_inclusion_residuals(trial, swap=order[0] == 1).values())
         if best is None or worst < best[0]:
             best = (worst, order)
     if best[0] > 1e-7:

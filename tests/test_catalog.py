@@ -162,6 +162,15 @@ def test_build_space_checks_expected_dims(cp3):
     assert build_space("cp3").summand_dims == (4, 2)
 
 
+def test_descriptor_expectations_are_read_only(cp3):
+    # parse_id hands out the shared registry entry: a write would make every
+    # later build_space("cp3") fail its dims check
+    with pytest.raises(TypeError):
+        parse_id("cp3").expected["dims"] = (5, 1)
+    assert parse_id("cp3").expected["dims"] == (4, 2)
+    assert build_space("cp3") is cp3
+
+
 def test_lie_group_ids():
     sp = build_space("lie-group(su2)")
     assert sp.dim_k == 0 and sp.dim_m == 3

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -322,6 +324,21 @@ def test_equivariance_residual_matches_einsum_reference(fixture, request):
         assert abs(got - ref) <= 1e-12 * max(1.0, ref)
         refs.append(ref)
     assert refs[0] < 1e-9 < 1.0 < refs[1]     # the random map is far from equivariant
+
+
+def test_equivariance_residual_holds_a_few_m3_tables(flag_d64):
+    # a block of rows of k at a time (one here): the whole defect, dim k = 22
+    # m^3 tables, is never live
+    nm = nomizu_st(flag_d64, 1.0, 0.5)
+    nm.frame_tables
+    tracemalloc.start()
+    try:
+        residual = equivariance_residual(nm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flag_d64.dim_k == 22 and residual < 1e-9
+    assert peak <= 4 * 8 * flag_d64.dim_m ** 3
 
 
 def test_derivation_action_matches_einsum_reference(su3_group, flag_b54):

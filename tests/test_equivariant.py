@@ -23,6 +23,7 @@ from redhom.equivariant import (
     hom_dimension,
     solve_bytes,
 )
+from redhom.liealg import _BLOCK
 from redhom.reductive import ReductiveError
 
 SMALL_SPACES = ["cp3", "sphere-s4", "sphere-s6", "sphere-s7", "berger", "flag-B(2,2)"]
@@ -101,9 +102,12 @@ def test_lie_group_case_returns_everything(su2_group):
 
 
 def test_oversized_solve_is_refused_before_building(sphere_s7, monkeypatch):
-    # G, LAPACK's copy, two of workspace and the eigenvectors: 5 x 343^2 doubles
-    assert solve_bytes(sphere_s7) == 5 * 8 * 343**2 < SOLVE_BUDGET_BYTES
-    # 81 GiB of Gram solve: refused from its size alone
+    # the symmetric block (196 = 49 * 8 / 2), LAPACK's copy, two of
+    # workspace and the eigenvectors: 5 x 196^2 doubles, above G (343^2)
+    # with both blocks, and two bands of gather scratch
+    assert solve_bytes(sphere_s7) == 8 * (5 * 196**2 + 2 * _BLOCK) < SOLVE_BUDGET_BYTES
+    assert 343**2 + 196**2 + 147**2 < 5 * 196**2
+    # 24 GiB of swap-block solve on flag-C(5,3): refused from its size alone
 
     def forbidden(*args, **kwargs):
         raise AssertionError("Gram matrix built")
@@ -112,6 +116,16 @@ def test_oversized_solve_is_refused_before_building(sphere_s7, monkeypatch):
     space = catalog.build_space("flag-C(5,3)")
     with pytest.raises(SolveTooLargeError, match="flag-C"):
         hom_dimension(space)
+
+
+def subspace_rank(vectors: np.ndarray) -> int:
+    """Numerical rank of a stack of tensors, relative to the largest singular value."""
+    if vectors.size == 0:
+        return 0
+    s = np.linalg.svd(vectors.reshape(vectors.shape[0], -1), compute_uv=False)
+    if s.size == 0 or s[0] < 1e-12:
+        return 0
+    return int((s > s[0] * 1e-9).sum())
 
 
 @pytest.mark.parametrize("normalization", [None, "bprime"])
@@ -133,6 +147,14 @@ def test_gram_null_space_matches_dense_svd(space_id, normalization):
         assert np.abs(ours.T @ ours - np.eye(res.dimension)).max() < 1e-12
         # sine of the largest principal angle between the two null spaces
         assert np.linalg.norm(ours - dense @ (dense.T @ ours), 2) < 1e-8
+    # the swap-block counts are the ranks of the skew and symmetric parts
+    # of the dense null space
+    n = space.dim_m
+    null = dense.T.reshape(-1, n, n, n)
+    swapped = null.transpose(0, 2, 1, 3)
+    assert res.skew_dim == subspace_rank((null - swapped) / 2.0)
+    assert res.sym_dim == subspace_rank((null + swapped) / 2.0)
+    assert res.skew_dim + res.sym_dim == res.dimension
 
 
 @pytest.mark.parametrize("space_id", SMALL_SPACES)
@@ -211,5 +233,6 @@ def test_flag_b32_is_answered(flag_b32_solve):
 def test_flag_b32_solve_stays_within_its_budget(flag_b32_solve):
     space, _, peak = flag_b32_solve
     assert peak <= solve_bytes(space)
-    # numpy sees G and the eigenvectors only: no other n^6 array is formed
-    assert peak < 2.2 * 8 * space.dim_m**6
+    # numpy sees G with its two swap blocks (1.5 n^6 doubles), and then the
+    # blocks and eigenvectors: no other n^6-sized array is formed
+    assert peak < 1.6 * 8 * space.dim_m**6

@@ -259,6 +259,20 @@ def test_dense_jacobi_check_stays_within_its_budget():
     assert_matches_reference(bent)
 
 
+def test_tall_nullspace_forms_no_square_u(flag_d64):
+    # the centre of k of flag-D(6,4): a 484 x 22 system, whose full SVD U
+    # alone would be 484^2 doubles
+    system = flag_d64.k_structure.transpose(1, 2, 0).reshape(-1, flag_d64.dim_k)
+    assert system.shape == (484, 22)
+    result = []
+    peak = traced_peak(lambda: result.append(liealg.nullspace(system)))
+    assert peak < 8 * 484 * 484
+    (basis,) = result
+    assert basis.shape == (1, 22)
+    assert np.abs(system @ basis.T).max() < 1e-12
+    assert np.abs(basis @ basis.T - 1.0).max() < 1e-12
+
+
 def test_realify_matches_the_kronecker_sum_bit_for_bit(rng):
     i2, j2 = np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])
     mats = [z for n in range(1, 5) for z in liealg.u_complex_basis(n)]

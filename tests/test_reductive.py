@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from redhom import catalog, liealg
+from redhom import catalog, liealg, reductive
 from redhom.liealg import build_so, build_su, negative_killing
 from redhom.reductive import (
     MetricSpec,
@@ -177,3 +177,43 @@ def test_cached_space_is_read_only():
         space.m_basis = space.m_basis.copy()
     assert catalog.build_space("cp3") is space
     assert space.validate()["ok"]
+
+
+def two_trial_order(space, blocks):
+    """``_order_two_summands`` as it was: one trial space, with all its
+    tables, per summand order (the reference of the one-table form)."""
+    best = None
+    for order in ([0, 1], [1, 0]):
+        m_new = np.vstack([blocks[order[0]] @ space.m_basis,
+                           blocks[order[1]] @ space.m_basis])
+        d1 = blocks[order[0]].shape[0]
+        trial = ReductiveSpace(algebra=space.algebra, ip=space.ip,
+                               k_basis=space.k_basis, m_basis=m_new,
+                               summands=((0, d1), (d1, space.dim_m)),
+                               name=space.name)
+        worst = max(reductive._inclusion_residuals(trial).values())
+        if best is None or worst < best[0]:
+            best = (worst, order)
+    return [blocks[i] for i in best[1]]
+
+
+@pytest.mark.parametrize("space_id", ["flag-B(2,2)", "flag-B(5,4)", "flag-C(5,3)",
+                                      "flag-D(6,4)"])
+def test_one_table_summand_order_matches_two_trial_spaces(space_id, monkeypatch):
+    calls = []
+    order_two = reductive._order_two_summands
+
+    def recording(space, blocks):
+        calls.append((space, blocks))
+        return order_two(space, blocks)
+
+    monkeypatch.setattr(reductive, "_order_two_summands", recording)
+    desc = catalog.parse_id(space_id)
+    built = catalog.build_flag.__wrapped__(desc.family[-1], *desc.params)
+    ((space, blocks),) = calls
+    # both input orders, so that one of them needs the swapped slices
+    for given in (blocks, blocks[::-1]):
+        got, ref = order_two(space, given), two_trial_order(space, given)
+        assert [b.tobytes() for b in got] == [b.tobytes() for b in ref]
+    assert np.array_equal(built.m_basis,
+                          np.vstack([b @ space.m_basis for b in order_two(space, blocks)]))
