@@ -239,7 +239,7 @@ _LIE_GROUPS = {
 def build_lie_group(name: str) -> ReductiveSpace:
     """A compact group as the k = 0 space with the Killing-form metric."""
     key = name.lower()
-    if key.startswith("u") and key[1:].isdigit():
+    if key.startswith("u") and key[1:].isdigit() and int(key[1:]) > 0:
         alg = build_u(int(key[1:]))
         ip = negative_killing(alg, center_weight=1.0)
     elif key in _LIE_GROUPS:

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import catalog, connections, curvature, einstein, equivariant, liealg, reductive
+from .tolerances import REFERENCE_TOL, TOL
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -188,7 +189,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_space(args) -> int:
     space, desc = resolve_space(args.id, args.normalization)
-    report = space.validate(tol=args.tol * 10)
+    report = space.validate(tol=args.tols.valid)
     cas = reductive.casimir(space)
     out = {
         "space": space.name,
@@ -250,7 +251,7 @@ def cmd_tensor(args) -> int:
         t3 = curvature.torsion(nm)
         out["result"] = {
             "norm_squared": t3.norm_squared(),
-            "totally_skew": t3.is_totally_skew(args.tol),
+            "totally_skew": t3.is_totally_skew(args.tols.torsion_skew),
             "components": t3.components,
         }
         out["residuals"] = {"skew_residual": t3.skew_residual()}
@@ -261,10 +262,10 @@ def cmd_tensor(args) -> int:
             "scalar": oracle.scalar,
             "torsion_norm_squared": t3.norm_squared(),
         }
-        res = {}
-        if t3.is_totally_skew(1e-7):
-            res["scalar_relation"] = curvature.scalar_relation_residual(nm)
-        out["residuals"] = res
+        try:  # the relation applies to skew torsion only
+            out["residuals"] = {"scalar_relation": curvature.scalar_relation_residual(nm)}
+        except connections.ConnectionError_:
+            out["residuals"] = {}
     emit(out, args)
     return EXIT_OK
 
@@ -322,7 +323,7 @@ def cmd_homdim(args) -> int:
             "bracket_projection": cert["projection_residual"],
             "group_spot_check": spot,
         },
-        "tolerances": {"tol": args.tol, "rank_gap_min": equivariant.RANK_GAP_MIN},
+        "tolerances": {"tol": args.tol, "rank_gap_min": TOL.rank_gap_min},
     }
     emit(out, args)
     return EXIT_OK
@@ -332,46 +333,40 @@ def cmd_homdim(args) -> int:
 # check suites
 
 
-def _suite_reductive(space, tol):
-    checks = []
-    rep = space.validate(tol=tol * 10)
-    for key, val in rep.items():
-        if key != "ok":
-            checks.append((f"reductive/{key}", val, tol * 10))
+def _suite_reductive(space, tols):
+    checks = [(f"reductive/{key}", val, tols.valid)
+              for key, val in space.validate().items() if key != "ok"]
     use1 = reductive.verify_use1(space)
-    checks.append(("reductive/use1_a", use1["a_identity"], 1e-8))
-    checks.append(("reductive/use1_b", use1["b_identity"], 1e-8))
-    cas = reductive.casimir(space)
-    checks.append(("reductive/casimir_scalar", cas.deviation, 1e-7))
+    checks.append(("reductive/use1_a", use1["a_identity"], tols.use1))
+    checks.append(("reductive/use1_b", use1["b_identity"], tols.use1))
+    checks.append(("reductive/casimir_scalar", reductive.casimir(space).deviation,
+                   tols.summand_scalar))
     if len(space.summands) == 2:
-        incl = reductive.check_inclusions(space)
-        for key, val in incl.items():
-            if isinstance(val, dict):
-                checks.append((f"reductive/incl_{key}", val["residual"], 1e-8))
+        checks += [(f"reductive/incl_{key}", val, tols.inclusions)
+                   for key, val in space.inclusion_residuals.items()]
     return checks
 
 
-def _suite_connections(space, tol):
+def _suite_connections(space, tols):
     checks = []
     for alpha in (-1.0, 0.5, 2.0):
         nm = connections.nomizu_alpha(space, alpha)
         checks.append((f"connections/equivariance_alpha_{alpha:g}",
-                       connections.equivariance_residual(nm), 1e-9))
+                       connections.equivariance_residual(nm), tols.equivariance))
         checks.append((f"connections/stc_alpha_{alpha:g}",
-                       connections.satisfies_stc(nm)[1], 1e-9))
+                       connections.satisfies_stc(nm)[1], tols.stc))
     if len(space.summands) == 2:
         for s, t in ((2.0, 0.5), (2.0, 0.8), (0.0, 0.3)):
             nm = connections.nomizu_st(space, s, t)
             checks.append((f"connections/equivariance_s{s:g}_t{t:g}",
-                           connections.equivariance_residual(nm), 1e-9))
-            skew = curvature.torsion(nm).is_totally_skew(1e-9)
-            want = abs(t - 0.5) < 1e-12
+                           connections.equivariance_residual(nm), tols.equivariance))
+            skew = curvature.torsion(nm).is_totally_skew(tols.torsion_skew)
             checks.append((f"connections/skew_iff_killing_s{s:g}_t{t:g}",
-                           0.0 if skew == want else 1.0, 0.5))
+                           0.0 if skew == (t == 0.5) else 1.0, 0.5))
     return checks
 
 
-def _suite_curvature(space, tol):
+def _suite_curvature(space, tols):
     checks = []
     for alpha in (-1.0, 0.0, 2.0):
         nm = connections.nomizu_alpha(space, alpha)
@@ -380,14 +375,14 @@ def _suite_curvature(space, tol):
             closed = curvature.ricci_alpha_closed(space, alpha)
             checks.append((f"curvature/oracle_alpha_{alpha:g}",
                            float(np.abs(oracle.components - closed.components).max()),
-                           1e-8))
+                           tols.oracle))
         except reductive.ReductiveError:
             pass
         checks.append((f"curvature/ricci_symmetric_alpha_{alpha:g}",
-                       oracle.symmetry_residual(), 1e-9))
+                       oracle.symmetry_residual(), tols.ricci_symmetry))
         dt = curvature.codifferential(nm)
         checks.append((f"curvature/codifferential_alpha_{alpha:g}",
-                       float(np.abs(dt.components).max()), 1e-9))
+                       float(np.abs(dt.components).max()), tols.codifferential))
     if len(space.summands) == 2:
         for s, t in ((0.0, 0.3), (2.0, 0.5), (1.0, 1.0)):
             nm = connections.nomizu_st(space, s, t)
@@ -395,37 +390,38 @@ def _suite_curvature(space, tol):
             closed = curvature.ricci_st_closed(space, s, t)
             checks.append((f"curvature/oracle_s{s:g}_t{t:g}",
                            float(np.abs(oracle.components - closed.components).max()),
-                           1e-8))
+                           tols.oracle))
         nm = connections.nomizu_st(space, 3.0, 0.5)
         checks.append(("curvature/scalar_relation_s3",
-                       curvature.scalar_relation_residual(nm), 1e-8))
+                       curvature.scalar_relation_residual(nm), tols.scalar_relation))
     return checks
 
 
-def _suite_einstein(space, tol):
+def _suite_einstein(space, tols):
     checks = []
     if len(space.summands) == 2:
         rep = einstein.riemannian_quadratic(space)
         for r, _ in rep.roots:
             if r > 0:
                 checks.append((f"einstein/riemannian_root_t{r:g}",
-                               einstein.riemannian_root_residual(space, r), 1e-8))
+                               einstein.riemannian_root_residual(space, r), tols.einstein_root))
         skew = einstein.skew_einstein_quadratic(space)
         for r, _ in skew.roots:
             checks.append((f"einstein/skew_root_s{r:g}",
-                           einstein.skew_root_residual(space, r), 1e-8))
+                           einstein.skew_root_residual(space, r), tols.einstein_root))
     elif space.nsummands == 1 and space.dim_k > 0:
         checks.append(("einstein/thm4_identity",
-                       einstein.thm4_identity_residual(space), 1e-7))
+                       einstein.thm4_identity_residual(space), tols.thm4))
         for alpha in (-2.0, 0.0, 2.0):
             checks.append((f"einstein/nabla_alpha_{alpha:g}",
-                           einstein.nabla_alpha_einstein_residual(space, alpha), 1e-7))
+                           einstein.nabla_alpha_einstein_residual(space, alpha),
+                           tols.nabla_alpha))
     else:
         nm = connections.nomizu_alpha(space, 2.0)
-        scal = curvature.ricci_oracle(nm).scalar
-        n = space.dim_m
+        # Ric = ((1 - alpha^2) / 4) B on a group, B = b_form (zero on a centre)
+        expected = (1 - 4.0) / 4.0 * np.trace(space.b_form)
         checks.append(("einstein/group_scalar_alpha2",
-                       abs(scal - n * (1 - 4.0) / 4.0), 1e-8))
+                       abs(curvature.ricci_oracle(nm).scalar - expected), tols.group_scalar))
     return checks
 
 
@@ -451,7 +447,7 @@ def cmd_check(args) -> int:
     for sid in sorted(ids):
         space, _ = resolve_space(sid, args.normalization)
         for suite in suites:
-            for name, residual, tol in _SUITES[suite](space, args.tol):
+            for name, residual, tol in _SUITES[suite](space, args.tols):
                 ok = residual < tol
                 failed += 0 if ok else 1
                 rows.append({"space": sid, "check": name,
@@ -460,11 +456,9 @@ def cmd_check(args) -> int:
     if args.format in ("json", "csv"):
         emit({"checks": rows, "failed": failed}, args)
     else:
-        for row in rows:
-            status = "PASS" if row["ok"] else "FAIL"
-            print(f'{status}  {row["space"]:18s} {row["check"]:45s} '
-                  f'{row["residual"]:.3e} < {row["tolerance"]:.0e}')
-        print(f"{len(rows) - failed}/{len(rows)} checks passed")
+        lines = [f'{"PASS" if row["ok"] else "FAIL"}  {row["space"]:18s} {row["check"]:45s} '
+                 f'{row["residual"]:.3e} < {row["tolerance"]:.0e}\n' for row in rows]
+        _write("".join(lines) + f"{len(rows) - failed}/{len(rows)} checks passed\n", args)
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 
@@ -495,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "reductive homogeneous spaces",
     )
     parser.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    parser.add_argument("--tol", type=positive, default=1e-9)
+    parser.add_argument("--tol", type=positive, default=REFERENCE_TOL)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--normalization", choices=["negK", "bprime"], default=None)
     parser.add_argument("--out", default=None, help="write output to a file")
@@ -543,9 +537,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.tols = TOL.scaled(args.tol)  # the check thresholds of this call
     try:
         return args.func(args)
-    except (catalog.CatalogError, KeyError, equivariant.SolveTooLargeError) as exc:
+    except (catalog.CatalogError, KeyError, equivariant.SolveTooLargeError, OSError,
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_REQUEST
     except MemoryError as exc:

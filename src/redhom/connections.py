@@ -16,7 +16,6 @@ import numpy as np
 
 from .liealg import (
     _BLOCK,
-    DEFAULT_TOL,
     LieAlgebra,
     _read_only,
     build_u,
@@ -36,6 +35,7 @@ from .reductive import (
     scale_blocks,
     summand_sigma,
 )
+from .tolerances import TOL
 
 
 class ConnectionError_(ValueError):
@@ -158,11 +158,12 @@ def biinvariant_family(space: ReductiveSpace, ideals, alphas) -> NomizuMap:
     if len(ideals) != len(alphas):
         raise ConnectionError_("one alpha per ideal is required")
     stacked = np.vstack(ideals)
-    if stacked.shape[0] != alg.dim or np.linalg.matrix_rank(stacked, tol=1e-10) != alg.dim:
+    if (stacked.shape[0] != alg.dim
+            or np.linalg.matrix_rank(stacked, tol=TOL.independence) != alg.dim):
         raise ConnectionError_("ideals must jointly span the algebra")
     for basis in ideals:
         ker = _ideal_leak(alg, basis)
-        if ker > 1e-8:
+        if ker > TOL.span:
             raise ConnectionError_(f"non-ideal input (bracket leak {ker:.3e})")
     inv = np.linalg.inv(stacked)
     metric = MetricSpec.killing(space.nsummands)
@@ -192,13 +193,13 @@ def _ideal_leak(alg: LieAlgebra, basis: np.ndarray) -> float:
 def is_metric(nm: NomizuMap) -> tuple[bool, float]:
     """Whether Lambda(X) is skew for the map's metric; returns (flag, residual)."""
     residual = float(np.abs(nm.coeffs + nm.coeffs.transpose(0, 2, 1)).max())
-    return residual < DEFAULT_TOL, residual
+    return residual < TOL.metric, residual
 
 
 def satisfies_stc(nm: NomizuMap) -> tuple[bool, float]:
     """Polarized check of Lambda(X)X = 0 over all frame pairs."""
     residual = float(np.abs(nm.coeffs + nm.coeffs.transpose(1, 0, 2)).max())
-    return residual < DEFAULT_TOL, residual
+    return residual < TOL.stc, residual
 
 
 def equivariance_residual(nm: NomizuMap) -> float:
@@ -246,7 +247,7 @@ def derivation_defect(nm: NomizuMap) -> np.ndarray:
 def is_derivation(nm: NomizuMap) -> tuple[bool, float]:
     """Whether every Lambda(Z) is a derivation of the algebra."""
     residual = float(np.abs(derivation_defect(nm)).max())
-    return residual < DEFAULT_TOL, residual
+    return residual < TOL.derivation, residual
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +330,9 @@ def linear_combination_stc_rank(n: int, sample_points=None) -> dict:
         cols = [np.einsum("abc,a,b->c", maps[k].coeffs, x, x) for k in order]
         rows.append(np.column_stack(cols))
     system = np.vstack(rows)
-    basis = nullspace(system, rtol=1e-8)
+    basis = nullspace(system, rtol=TOL.stc_rank)
     mu_only = bool(
-        basis.shape[0] == 1 and np.abs(basis[0][:3]).max() < 1e-8
+        basis.shape[0] == 1 and np.abs(basis[0][:3]).max() < TOL.mu_axis
     )
     return {"dimension": int(basis.shape[0]), "basis": basis, "mu_only": mu_only,
             "weights_order": order}

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liealg import DEFAULT_TOL
 from .reductive import (
     MetricSpec,
     ReductiveSpace,
@@ -29,6 +28,7 @@ from .connections import (
     nomizu_levi_civita_gt,
     satisfies_stc,
 )
+from .tolerances import TOL
 
 
 @dataclass
@@ -43,7 +43,7 @@ class Tensor3:
         sym = t + t.transpose(0, 2, 1)
         return float(np.abs(sym, out=sym).max())
 
-    def is_totally_skew(self, tol: float = DEFAULT_TOL) -> bool:
+    def is_totally_skew(self, tol: float = TOL.torsion_skew) -> bool:
         return self.skew_residual() < tol
 
     def norm_squared(self) -> float:
@@ -209,7 +209,7 @@ def ricci_alpha_closed(space: ReductiveSpace, alpha: float) -> Tensor2:
     (the rows of ``bk``) must span k.
     """
     if space.dim_k and np.linalg.matrix_rank(
-            space.bk.reshape(-1, space.dim_k), tol=1e-8) != space.dim_k:
+            space.bk.reshape(-1, space.dim_k), tol=TOL.transvection_rank) != space.dim_k:
         raise ReductiveError("g = m + [m,m] fails; closed form not applicable")
     cas = casimir(space)
     b = space.b_form
@@ -291,7 +291,7 @@ def _levi_civita_map(space: ReductiveSpace, metric: MetricSpec) -> NomizuMap:
     if len(space.summands) == 2:
         a, b = metric.scales
         return nomizu_levi_civita_gt(space, b / (2.0 * a)).rescaled(metric)
-    if any(abs(sc - metric.scales[0]) > 1e-14 for sc in metric.scales):
+    if any(abs(sc - metric.scales[0]) > TOL.uniform_scale for sc in metric.scales):
         raise ConnectionError_("non-uniform metric needs a two-summand space")
     return nomizu_alpha(space, 0.0).rescaled(metric)
 
@@ -336,7 +336,7 @@ def jacobian_m(space: ReductiveSpace) -> dict:
     return {
         "jacobian": jac,
         "max_abs": float(np.abs(jac).max()),
-        "is_zero": bool(np.abs(jac).max() < 1e-9),
+        "is_zero": bool(np.abs(jac).max() < TOL.jacobian),
         "m_bracket_k_residual": m_closed,   # 0 iff [m,m] stays in m
         "m_bracket_m_residual": m_in_k,     # 0 iff [m,m] stays in k
     }
@@ -345,7 +345,7 @@ def jacobian_m(space: ReductiveSpace) -> dict:
 def scalar_relation_residual(nm: NomizuMap) -> float:
     """Residual of Scal = Scal^g - (3/2)||T||^2 for skew-torsion connections."""
     t3 = torsion(nm)
-    if not t3.is_totally_skew(tol=1e-7):
+    if not t3.is_totally_skew(tol=TOL.skew_torsion_gate):
         raise ConnectionError_("scalar relation applies to skew torsion only")
     scal = ricci_oracle(nm).scalar
     lc = _levi_civita_map(nm.space, nm.metric)

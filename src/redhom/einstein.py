@@ -11,6 +11,7 @@ import numpy as np
 
 from .reductive import ReductiveSpace, ReductiveError, casimir, check_inclusions
 from .curvature import Tensor2, ricci_alpha_closed, ricci_st_closed
+from .tolerances import TOL
 
 
 @dataclass
@@ -37,7 +38,7 @@ class QuadraticReport:
 def solve_quadratic(a: float, b: float, c: float):
     """Real roots with multiplicity; handles the degenerate and linear cases."""
     scale = max(abs(a), abs(b), abs(c), 1.0)
-    zero = 1e-10 * scale
+    zero = TOL.quadratic_zero * scale
     if abs(a) < zero:
         if abs(b) < zero:
             return (), 0.0, abs(c) < zero
@@ -60,7 +61,7 @@ def _quadratic_sums(space: ReductiveSpace) -> tuple:
     p, q, r = sums.p, sums.q, sums.r
     cas = casimir(space)
     spread = float(max(np.ptp(p), np.ptp(q), np.ptp(r), cas.deviation))
-    if spread > 1e-7:
+    if spread > TOL.summand_scalar:
         raise ReductiveError(
             f"per-vector coefficient spread {spread:.3e} exceeds tolerance; "
             "summands are not irreducible or the split is wrong"
@@ -85,8 +86,8 @@ def riemannian_quadratic(space: ReductiveSpace) -> QuadraticReport:
     c = -cas2
     roots, disc, identically = solve_quadratic(a, b, c)
     flags = {
-        "killing_root": any(abs(r0 - 0.5) < 1e-8 for r0, _ in roots),
-        "kahler_root": any(abs(r0 - 1.0) < 1e-8 for r0, _ in roots),
+        "killing_root": any(abs(r0 - 0.5) < TOL.root_match for r0, _ in roots),
+        "kahler_root": any(abs(r0 - 1.0) < TOL.root_match for r0, _ in roots),
         "identically_satisfied": identically,
     }
     return QuadraticReport("riemannian-t", (a, b, c), disc, roots, spread, flags,
@@ -100,7 +101,7 @@ def solve_skew_quadratic(c_value: float, delta_cas: float) -> QuadraticReport:
     satisfied by every s; the distinguished pair {0, 2} is reported with
     the flags set accordingly.
     """
-    tol = 1e-9
+    tol = TOL.skew_quadratic_zero
     coeffs = (c_value, -2.0 * c_value, -4.0 * delta_cas)
     disc = 4.0 * c_value * (c_value + 4.0 * delta_cas)
     flags = {"degenerate_c": abs(c_value) < tol, "all_s": False,
@@ -165,10 +166,11 @@ def nabla_alpha_einstein_residual(space: ReductiveSpace, alpha: float) -> float:
 
 
 def thm4_identity_residual(space: ReductiveSpace) -> float:
-    """Residual of 2n Cas + sum_{ij} |[Z_i,Z_j]_m|^2 - n = 0 (irreducible case)."""
+    """Residual of 2n Cas + sum_{ij} |[Z_i,Z_j]_m|^2 - tr B = 0 (irreducible case), the
+    trace of ``verify_use1``'s b-identity; B = ``b_form``, so tr B = n under -K."""
     if space.nsummands != 1:
         raise ReductiveError("identity applies to isotropy-irreducible spaces")
     cas = casimir(space)
     n = space.dim_m
     bracket_sq = float(np.einsum("abc,abc->", space.bm, space.bm))
-    return float(abs(2.0 * n * cas.constants[0] + bracket_sq - n))
+    return float(abs(2.0 * n * cas.constants[0] + bracket_sq - np.trace(space.b_form)))

@@ -19,12 +19,11 @@ import numpy as np
 
 from .liealg import _BLOCK
 from .reductive import ReductiveError, ReductiveSpace
+from .tolerances import TOL
 
 
 # Largest dense equivariance solve hom_dimension will attempt, in bytes.
 SOLVE_BUDGET_BYTES = 1 << 30
-# Smallest singular-value gap at which hom_dimension accepts its rank cut.
-RANK_GAP_MIN = 1e3
 
 
 class RankAmbiguityError(RuntimeError):
@@ -199,7 +198,7 @@ def hom_dimension(space: ReductiveSpace) -> EquivariantSolveResult:
     bounded cut are kept and the exact cut is applied once both spectra
     are known.  The gap is the smallest kept singular value over the
     square root of the largest discarded |lambda|; RankAmbiguityError is
-    raised when it is below ``RANK_GAP_MIN``.  SolveTooLargeError is
+    raised when it is below ``TOL.rank_gap_min``.  SolveTooLargeError is
     raised, before anything is built, when ``solve_bytes`` exceeds
     ``SOLVE_BUDGET_BYTES``.
     """
@@ -222,21 +221,21 @@ def hom_dimension(space: ReductiveSpace) -> EquivariantSolveResult:
     # lambda_max <= max(the skew one, |sym|_F): keep the skew eigenvectors
     # under that cut, and cut exactly once the symmetric spectrum is known
     bound = max(lam_skew.max(initial=0.0), float(np.linalg.norm(sym)))
-    kept = vecs[:, :int((lam_skew <= bound * 1e-7).sum())].copy()
+    kept = vecs[:, :int((lam_skew <= bound * TOL.hom_rank).sum())].copy()
     del vecs
     lam_sym, vecs = np.linalg.eigh(sym)
     del sym
     lam = np.sort(np.concatenate([lam_skew, lam_sym]))
-    cut = lam[-1] * 1e-7
+    cut = lam[-1] * TOL.hom_rank
     s = np.sqrt(np.clip(lam[::-1], 0.0, None))
     rank = int((lam > cut).sum())
     dimension = lam.size - rank
     noise = np.sqrt(np.abs(lam[:dimension]).max()) if dimension else 0.0
     if rank and noise > 0:
         gap = float(s[rank - 1] / noise)
-        if gap < RANK_GAP_MIN:
+        if gap < TOL.rank_gap_min:
             raise RankAmbiguityError(
-                f"indeterminate rank: singular-value gap {gap:.1e} < {RANK_GAP_MIN:.0e}"
+                f"indeterminate rank: singular-value gap {gap:.1e} < {TOL.rank_gap_min:.0e}"
             )
     else:
         gap = np.inf
@@ -260,7 +259,7 @@ def certify_bracket_span(result: EquivariantSolveResult, space: ReductiveSpace) 
         sys_res = float(np.abs(_apply_equivariance(space, space.bm)).max())
     else:
         sys_res = 0.0
-    scale = max(1.0, float(np.abs(bracket).max()))
+    bound = TOL.bracket_certificate * max(1.0, float(np.abs(bracket).max()))
     if result.dimension:
         flat = result.basis.reshape(result.dimension, -1)
         coeffs, *_ = np.linalg.lstsq(flat.T, bracket, rcond=None)
@@ -270,7 +269,7 @@ def certify_bracket_span(result: EquivariantSolveResult, space: ReductiveSpace) 
     return {
         "system_residual": sys_res,
         "projection_residual": proj_res,
-        "ok": bool(sys_res < 1e-9 * scale and proj_res < 1e-9 * scale),
+        "ok": bool(sys_res < bound and proj_res < bound),
     }
 
 
@@ -304,7 +303,7 @@ def group_spot_check(result: EquivariantSolveResult, space: ReductiveSpace,
         return 0.0
     adk = space.adk
     skew_defect = float(np.abs(adk + adk.transpose(0, 2, 1)).max())
-    if skew_defect > 1e-10 * max(1.0, float(np.abs(adk).max())):
+    if skew_defect > TOL.isotropy_skew * max(1.0, float(np.abs(adk).max())):
         raise ReductiveError(
             f"isotropy action on {space.name} is not skew in the m-frame "
             f"(defect {skew_defect:.3e})"

@@ -14,7 +14,8 @@ from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
+from .tolerances import TOL
+
 _BLOCK = 1 << 16  # entries of one scratch table in an algebra build or check
 
 # Associative 3-form on R^7: index triples (1-based) and signs.
@@ -38,7 +39,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def nullspace(a, rtol: float = 1e-10):
+def nullspace(a, rtol: float = TOL.nullspace_rtol):
     """Orthonormal basis (rows) of the right null space of ``a``.
 
     A tall ``a`` (rows >= cols) takes the thin SVD, whose vt is already
@@ -99,7 +100,7 @@ class LieAlgebra:
         coeffs = mat.reshape(-1) @ self._basis_pinv
         residual = np.abs(self.matrix(coeffs) - mat).max()
         scale = max(1.0, np.abs(mat).max())
-        if residual > 1e-8 * scale:
+        if residual > TOL.span * scale:
             raise LieAlgebraError(
                 f"matrix not in the span of {self.name} (residual {residual:.3e})"
             )
@@ -129,7 +130,7 @@ class LieAlgebra:
         """Matrix of ad(X) acting on coefficient vectors."""
         return np.einsum("i,ijk->kj", np.asarray(x, dtype=float), self.structure)
 
-    def validate(self, tol: float = DEFAULT_TOL) -> dict:
+    def validate(self, tol: float = TOL.valid) -> dict:
         """Residuals of antisymmetry, Jacobi and ad-invariance of the Killing form.
 
         Antisymmetry and ad-invariance are taken over blocks of the first
@@ -282,7 +283,7 @@ def from_basis(name: str, mats) -> LieAlgebra:
     mats = _read_only(np.array(mats, dtype=float))
     dim = mats.shape[0]
     flat = mats.reshape(dim, -1)
-    if np.linalg.matrix_rank(flat, tol=1e-10) != dim:
+    if np.linalg.matrix_rank(flat, tol=TOL.independence) != dim:
         raise LieAlgebraError(f"basis of {name} is linearly dependent")
     pinv = np.linalg.pinv(flat)
     structure = np.zeros((dim, dim, dim))
@@ -295,11 +296,11 @@ def from_basis(name: str, mats) -> LieAlgebra:
             coeffs = comm @ pinv
             closure = max(closure, np.abs(coeffs @ flat - comm).max())
             scale = max(scale, np.abs(comm).max())
-            coeffs[np.abs(coeffs) < DEFAULT_TOL] = 0.0
+            coeffs[np.abs(coeffs) < TOL.structure_zero] = 0.0
             structure[i, j:j + step] = coeffs
             # 0 - x rather than -x: a zeroed constant stays +0.0
             structure[j:j + step, i] = 0.0 - coeffs
-    if closure > 1e-8 * scale:
+    if closure > TOL.span * scale:
         raise LieAlgebraError(
             f"basis of {name} is not bracket-closed (residual {closure:.3e})"
         )
@@ -314,7 +315,7 @@ def from_basis(name: str, mats) -> LieAlgebra:
         np.matmul(rows, cols, out=killing[:, j:j + step])
     alg = LieAlgebra(name=name, basis=mats, structure=_read_only(structure),
                      killing=_read_only(killing))
-    report = alg.validate(tol=1e-8)
+    report = alg.validate()
     if not report["ok"]:
         raise LieAlgebraError(f"{name} failed validation: {report}")
     return alg
@@ -484,7 +485,7 @@ def stabilizer_subalgebra(a: LieAlgebra, constraint,
         return basis
     brs = a.brackets(basis, basis)
     leak = np.abs(brs - (brs @ basis.T) @ basis).max(axis=2)
-    if leak.max() > 1e-8:
+    if leak.max() > TOL.span:
         i, j = sorted(np.unravel_index(leak.argmax(), leak.shape))
         raise LieAlgebraError(
             f"{name}: constraint does not cut out a subalgebra "
@@ -545,7 +546,7 @@ def ideal_generated_by(a: LieAlgebra, v) -> np.ndarray:
         brs = a.brackets(np.eye(a.dim), span).reshape(-1, a.dim)
         stacked = np.vstack([span, brs])
         _, s, vt = np.linalg.svd(stacked, full_matrices=False)
-        rank = int((s > s[0] * 1e-8).sum())
+        rank = int((s > s[0] * TOL.ideal_rank).sum())
         if rank == span.shape[0]:
             return vt[:rank]
         span = vt[:rank]
@@ -567,9 +568,9 @@ class InnerProduct:
 
     def __post_init__(self):
         object.__setattr__(self, "gram", _read_only(np.array(self.gram, dtype=float)))
-        if np.abs(self.gram - self.gram.T).max() > 1e-10:
+        if np.abs(self.gram - self.gram.T).max() > TOL.gram_symmetry:
             raise LieAlgebraError("inner product gram matrix is not symmetric")
-        if self.gram.size and np.linalg.eigvalsh(self.gram).min() <= 1e-12:
+        if self.gram.size and np.linalg.eigvalsh(self.gram).min() <= TOL.gram_positive:
             raise LieAlgebraError("inner product is not positive definite")
 
     def pairing(self, x, y) -> float:
@@ -589,7 +590,7 @@ def negative_killing(a: LieAlgebra, center_weight: float | None = None) -> Inner
     gram = -a.killing.copy()
     central = [
         i for i in range(a.dim)
-        if np.abs(a.structure[i]).max() < 1e-12 and np.abs(a.structure[:, i, :]).max() < 1e-12
+        if max(np.abs(a.structure[i]).max(), np.abs(a.structure[:, i, :]).max()) < TOL.central
     ]
     if central and center_weight is None:
         raise LieAlgebraError(
@@ -621,7 +622,7 @@ def gram_schmidt(vectors, ip: InnerProduct) -> np.ndarray:
         for u in out:
             v = v - ip.pairing(u, v) * u
         nrm = ip.norm(v)
-        if nrm < DEFAULT_TOL * max(1.0, ip.norm(row)):
+        if nrm < TOL.dependence * max(1.0, ip.norm(row)):
             raise LieAlgebraError("gram_schmidt: input vectors are nearly dependent")
         out.append(v / nrm)
     return np.array(out).reshape(len(out), vectors.shape[1] if vectors.size else 0)

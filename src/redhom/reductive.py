@@ -23,6 +23,7 @@ from .liealg import (
     negative_killing,
     nullspace,
 )
+from .tolerances import TOL
 
 
 class ReductiveError(ValueError):
@@ -201,7 +202,7 @@ class ReductiveSpace:
         """
         return _isotropy_pairs(self)
 
-    def validate(self, tol: float = 1e-8) -> dict:
+    def validate(self, tol: float = TOL.valid) -> dict:
         """Residuals of the reductive-space invariants.
 
         The bracket tables of the split row are the cached ones when
@@ -419,7 +420,7 @@ def _inclusion_residuals(space: ReductiveSpace, swap: bool = False) -> dict:
 def check_inclusions(space: ReductiveSpace) -> dict:
     """Per-inclusion residuals and booleans for a two-summand space."""
     res = space.inclusion_residuals
-    out = {key: {"residual": val, "ok": bool(val < 1e-8)} for key, val in res.items()}
+    out = {key: {"residual": val, "ok": bool(val < TOL.inclusions)} for key, val in res.items()}
     out["ok"] = bool(all(v["ok"] for v in out.values() if isinstance(v, dict)))
     return out
 
@@ -444,12 +445,12 @@ def split_isotropy(space: ReductiveSpace) -> ReductiveSpace:
         refined = []
         for blk in blocks:
             sub = blk @ op @ blk.T
-            for piece in _cluster_eigh(sub, 1e-6):
+            for piece in _cluster_eigh(sub, TOL.cluster_gap):
                 refined.append(piece @ blk)
         blocks = refined
     # verify each block is ad(k)-stable
     for blk in blocks:
-        if _max_abs(nullspace(blk) @ space.adk @ blk.T) > 1e-7:
+        if _max_abs(nullspace(blk) @ space.adk @ blk.T) > TOL.summand_stable:
             raise ReductiveError(
                 "isotropy spectra do not separate ad(k)-stable summands; "
                 "supply the split explicitly"
@@ -479,7 +480,7 @@ def _order_two_summands(space: ReductiveSpace, blocks):
         worst = max(_inclusion_residuals(trial, swap=order[0] == 1).values())
         if best is None or worst < best[0]:
             best = (worst, order)
-    if best[0] > 1e-7:
+    if best[0] > TOL.summand_order:
         raise ReductiveError(
             f"no summand ordering satisfies the bracket inclusions "
             f"(best residual {best[0]:.3e})"

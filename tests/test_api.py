@@ -14,6 +14,11 @@ parameter is itself set somewhere.
 Import lint: every name a module of ``src/redhom`` or ``tests/`` imports
 is read in that module.  ``redhom/__init__.py`` is exempt: its imports
 are the public re-exports.
+
+Threshold lint: no float literal in (0, 1e-6] appears in ``src/redhom``
+outside ``redhom/tolerances.py``.  Every pass/fail threshold and numerical
+cut is a field of the one policy there; docstring prose is not an ``ast``
+float and is not counted.
 """
 
 from __future__ import annotations
@@ -160,3 +165,19 @@ def unread_imports() -> list:
 def test_every_import_is_read():
     unread = unread_imports()
     assert not unread, f"{len(unread)} imported names never read: {unread}"
+
+
+def threshold_literals() -> list:
+    """Sorted ``file:line value`` of every float literal in (0, 1e-6] outside the policy."""
+    out = []
+    for path, tree in _trees("src/redhom"):
+        if path.name != "tolerances.py":
+            out += [f"{path.name}:{node.lineno} {node.value!r}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and type(node.value) is float
+                    and 0 < node.value <= 1e-6]
+    return sorted(out)
+
+
+def test_thresholds_live_in_the_tolerance_policy():
+    found = threshold_literals()
+    assert not found, f"{len(found)} threshold literals outside tolerances.py: {found}"

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -7,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import redhom
-from redhom import equivariant
+from redhom import catalog, equivariant
 from redhom.cli import main
 
 
@@ -101,6 +104,22 @@ def test_invalid_flag_params_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the oracle overflows first
+@pytest.mark.parametrize("argv", [
+    ("space", "build", "lie-group(u0)"),
+    ("--out", "{missing}", "space", "build", "cp3"),
+    ("--out", "{missing}", "check", "--space", "cp3", "--suite", "reductive"),
+    ("tensor", "ricci", "--space", "sphere-s7", "--alpha", "1e300"),
+])
+def test_invalid_requests_exit_2_with_one_line(capsys, tmp_path, argv):
+    missing = str(tmp_path / "no-such-dir" / "x.json")
+    code, out, err = run_cli(capsys, *(arg.format(missing=missing) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    if "--out" in argv:
+        assert missing in err
+
+
 def test_oversized_homdim_exits_2(capsys):
     code, out, err = run_cli(capsys, "homdim", "--space", "flag-C(5,3)")
     assert code == 2 and out == ""
@@ -152,11 +171,22 @@ def test_out_file(tmp_path, capsys):
     assert data["result"]["dimension"] == 0
     # the file holds the bytes stdout would
     for argv in (("--format", "csv", "catalog", "list"),
-                 ("--format", "json", "einstein", "skew", "--space", "cp3")):
+                 ("--format", "json", "einstein", "skew", "--space", "cp3"),
+                 ("check", "--space", "cp3", "--suite", "reductive")):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and out
         assert run_cli(capsys, "--out", str(target), *argv) == (0, "", "")
         assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--normalization", "bprime", "check", "--all"),
+    ("check", "--space", "lie-group(u2)"),
+])
+def test_thm4_and_group_rows_hold_under_any_normalization(capsys, argv):
+    # tr(b_form) in place of dim m: B is not the metric under B', nor on a centre
+    code, out, _ = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0 and json.loads(out)["failed"] == 0
 
 
 def test_normalization_override(capsys):
@@ -209,3 +239,70 @@ def test_cold_flag_build_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": str(src)})
     assert out.stdout.splitlines()[-1] == "[0, 0] []"
+
+
+# Every catalog id that builds in well under a second, invalid and malformed
+# ids, and every parser value class.  Oversized ids such as flag-D(20,13)
+# or lie-group(u40) stay out until a size account refuses them before they
+# allocate: today they just try.
+FUZZ_IDS = catalog.known_ids() + [
+    "flag-B(2,2)", "flag-C(2,1)", "flag-C(3,1)", "flag-B(2,9)", "flag-D(3,1)", "flag-B(0,0)",
+    "lie-group(su2)", "lie-group(so3)", "lie-group(u1)", "lie-group(u2)", "lie-group(u0)",
+    "lie-group(bad)", "", " cp3 ", "CP3", "flag-B(2,)", "flag-X(2,2)", "flag-B(02,2)",
+    "lie-group()", "lie-group(u)", "lie-group(su2", "sphere-s5", "flag-B(2,2)x",
+]
+FUZZ_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "1e-300", "1e300", "5e-324",
+                     "0.5", "2", "x", ""]),
+    st.floats(-4, 4).map(repr))
+
+
+@st.composite
+def cli_requests(draw):
+    """argv of one request: global options, then any subcommand but ``--out``."""
+    argv = ["--format", draw(st.sampled_from(["table", "json", "csv"]))]
+    if draw(st.booleans()):
+        argv += ["--tol", draw(FUZZ_VALUES)]
+    if draw(st.booleans()):
+        argv += ["--normalization", draw(st.sampled_from(["negK", "bprime", "K"]))]
+    sid = draw(st.sampled_from(FUZZ_IDS))
+    command = draw(st.sampled_from(["catalog", "space", "tensor", "einstein", "homdim",
+                                    "check"]))
+    if command == "catalog":
+        argv += ["catalog", "list", "--lmax", str(draw(st.integers(-2, 6)))]
+        if draw(st.booleans()):
+            argv += ["--family", draw(st.sampled_from("BCDX"))]
+        if draw(st.booleans()):
+            argv.append("--killing-einstein")
+    elif command == "space":
+        argv += ["space", "build", sid]
+    elif command == "tensor":
+        argv += ["tensor", draw(st.sampled_from(["ricci", "torsion", "scalar"])), "--space", sid]
+        for flag in ("--s", "--t", "--alpha"):
+            if draw(st.booleans()):
+                argv += [flag, draw(FUZZ_VALUES)]
+    elif command == "einstein":
+        argv += ["einstein", draw(st.sampled_from(["riemannian", "skew"])), "--space", sid]
+    elif command == "homdim":
+        argv += ["homdim", "--space", sid]
+    else:
+        argv += ["check", *draw(st.sampled_from([["--space", sid], ["--all"], []])),
+                 "--suite", draw(st.sampled_from(["reductive", "connections", "curvature",
+                                                  "einstein", "all"]))]
+    return argv
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on extreme values
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cli_requests())
+@example(["tensor", "ricci", "--space", "sphere-s7", "--alpha", "1e300"])
+@example(["space", "build", "lie-group(u0)"])
+def test_cli_fuzz_exits_0_1_or_2_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the request
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

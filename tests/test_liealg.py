@@ -24,6 +24,7 @@ from redhom.liealg import (
     stabilizer_subalgebra,
     vector_annihilator_constraint,
 )
+from redhom.tolerances import TOL
 
 
 @pytest.mark.parametrize("n,dim", [(2, 1), (3, 3), (5, 10), (7, 21)])
@@ -170,7 +171,7 @@ def dense_structure(mats):
     structure = comm @ pinv
     closure = np.abs(structure @ flat - comm).max()
     scale = max(1.0, np.abs(comm).max())
-    structure[np.abs(structure) < liealg.DEFAULT_TOL] = 0.0
+    structure[np.abs(structure) < TOL.structure_zero] = 0.0
     return structure, closure, scale
 
 
