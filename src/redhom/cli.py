@@ -1,8 +1,8 @@
 """Command-line interface: catalog tables, space builds, tensors,
 Einstein reports, Hom dimensions and invariant check suites.
 
-Exit codes: 0 success, 1 failed checks or invariant violations,
-2 unknown spaces or invalid parameters.
+Exit codes (``verdict`` judges every residual row): 0 success, 1 a failed
+row or invariant, 2 unknown spaces, invalid parameters, non-finite results.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
+import math
 import sys
 
 import numpy as np
@@ -20,47 +22,15 @@ from .tolerances import REFERENCE_TOL, TOL
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_REQUEST = 2
+LMAX_BOUND = 100  # ``catalog list --lmax``: 0.44 s and 43 MB cold at the bound
+
+
+class BadRequest(Exception):
+    """A request the CLI refuses with exit 2 and one ``error:`` line."""
 
 
 # ---------------------------------------------------------------------------
 # output formatting
-
-
-def _fmt_float(x: float) -> str:
-    x = float(x)
-    if np.isnan(x):
-        return "NaN"
-    if np.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
-
-
-def _to_json(obj, indent: int = 0) -> str:
-    """JSON with every float printed to 17 significant digits."""
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{"  " * (indent + 1)}"{k}": {_to_json(v, indent + 1)}'
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + "  " * indent + "}"
-    if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
-        items = [f'{"  " * (indent + 1)}{_to_json(v, indent + 1)}' for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + "  " * indent + "]"
-    if isinstance(obj, np.ndarray):
-        return _to_json(obj.tolist(), indent)
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
-    if obj is None:
-        return "null"
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _flatten(obj, prefix=""):
@@ -81,9 +51,8 @@ def _to_csv(obj) -> str:
     writer = csv.writer(buf)
     writer.writerow(["key", "value"])
     for key, val in _flatten(obj):
-        if isinstance(val, (float, np.floating)):
-            val = _fmt_float(val)
-        writer.writerow([key, val])
+        # csv writes a float by its repr, and numpy's repr names the type
+        writer.writerow([key, float(val) if isinstance(val, float) else val])
     return buf.getvalue()
 
 
@@ -92,7 +61,7 @@ def _to_table(obj, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(obj, dict):
         for k, v in obj.items():
-            if isinstance(v, (dict, list, tuple, np.ndarray)) and not _is_matrix(v):
+            if isinstance(v, (dict, list, tuple)):
                 lines.append(f"{pad}{k}:")
                 lines.append(_to_table(v, indent + 1))
             else:
@@ -104,13 +73,7 @@ def _to_table(obj, indent: int = 0) -> str:
                 lines.append("")
             else:
                 lines.append(f"{pad}- {_scalar_str(v)}")
-    else:
-        lines.append(f"{pad}{_scalar_str(obj)}")
-    return "\n".join(line for line in lines if line is not None)
-
-
-def _is_matrix(v) -> bool:
-    return isinstance(v, np.ndarray) and v.ndim >= 1
+    return "\n".join(lines)
 
 
 def _scalar_str(v) -> str:
@@ -121,8 +84,19 @@ def _scalar_str(v) -> str:
     return str(v)
 
 
-def _write(text: str, args) -> None:
-    """Write text as it is to ``args.out`` if given, else to stdout."""
+def emit(obj, args, **render) -> None:
+    """Write ``obj`` in ``args.format`` to ``args.out`` if given, else to stdout.
+
+    ``render`` gives a command's own writer of a format.  A NaN or an
+    infinity anywhere in ``obj`` is refused before any format writes it.
+    """
+    bad = next((key for key, val in _flatten(obj)
+                if isinstance(val, float) and not math.isfinite(val)), None)
+    if bad is not None:
+        raise BadRequest(f"non-finite result at {bad}: the request overflows")
+    writers = {"json": lambda o: json.dumps(o, indent=2, default=lambda x: x.tolist()),
+               "csv": _to_csv, "table": _to_table, **render}
+    text = writers[args.format](obj) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -130,14 +104,59 @@ def _write(text: str, args) -> None:
         print(text, end="")
 
 
-def emit(obj, args) -> None:
-    if args.format == "json":
-        text = _to_json(obj)
-    elif args.format == "csv":
-        text = _to_csv(obj)
+# ---------------------------------------------------------------------------
+# residual rows, their verdict and the report
+
+
+def verdict(rows) -> tuple:
+    """Pass flag of each ``(name, residual, tolerance)`` row, and the exit code.
+
+    A row passes when its residual is below its tolerance, so a NaN fails;
+    a row whose tolerance is None is reported and not judged.
+    """
+    passed = [tol is None or bool(residual < tol) for _, residual, tol in rows]
+    return passed, EXIT_OK if all(passed) else EXIT_CHECK_FAILED
+
+
+def _finish(args, out, rows, **render) -> int:
+    """Emit a command's report; the exit code of its rows."""
+    emit(out, args, **render)
+    return verdict(rows)[1]
+
+
+def _single(args, space, result, rows, t=None, params=None, **tolerances) -> int:
+    """``_finish`` on the one-space envelope; ``space build`` has no metric."""
+    out = {"space": space.name}
+    if t is not None:
+        out["metric"] = {"t": t, "normalization": space.ip.provenance}
+        out["params"] = params
+    out["result"] = result
+    out["residuals"] = {name: residual for name, residual, _ in rows}
+    out["tolerances"] = {"tol": args.tol, **tolerances}
+    return _finish(args, out, rows)
+
+
+def _space_rows(space, tols, prefix, casimir_name):
+    """The ``validate`` rows of a space, then its Casimir-scalar row."""
+    rows = [(prefix + key, val, tols.valid)
+            for key, val in space.validate().items() if key != "ok"]
+    return rows + [(casimir_name, reductive.casimir(space).deviation, tols.summand_scalar)]
+
+
+def _oracle_row(name, oracle, closed, tols):
+    """A closed-form Ricci tensor against the traced oracle."""
+    return name, float(np.abs(oracle.components - closed.components).max()), tols.oracle
+
+
+def _root_rows(space, kind, tols, prefix):
+    """The Einstein quadratic of ``kind``, and its Einstein defect at each root."""
+    if kind == "riemannian":
+        rep = einstein.riemannian_quadratic(space)
+        roots, residual = rep.positive_roots, einstein.riemannian_root_residual
     else:
-        text = _to_table(obj)
-    _write(text + "\n", args)
+        rep = einstein.skew_einstein_quadratic(space)
+        roots, residual = rep.root_values, einstein.skew_root_residual
+    return rep, [(f"{prefix}{r:g}", residual(space, r), tols.einstein_root) for r in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +169,8 @@ def resolve_space(space_id: str, normalization: str | None):
     space = catalog.build_space(desc)
     if normalization is None:
         return space, desc
-    current = space.ip.provenance
     want = {"negK": "negative-killing", "bprime": "b-prime"}[normalization]
-    if current == want:
+    if space.ip.provenance == want:
         return space, desc
     alg = space.algebra
     if normalization == "bprime":
@@ -163,7 +181,7 @@ def resolve_space(space_id: str, normalization: str | None):
         except liealg.LieAlgebraError:
             ip = liealg.negative_killing(alg, center_weight=1.0)
     rebuilt = reductive.decompose(alg, space.k_basis, ip=ip, name=space.name)
-    if len(space.summands) > 1:
+    if space.nsummands != 1:
         rebuilt = reductive.split_isotropy(rebuilt)
     return rebuilt, desc
 
@@ -172,44 +190,36 @@ def resolve_space(space_id: str, normalization: str | None):
 # subcommands
 
 
+def _catalog_csv(out) -> str:
+    rows = out["rows"]
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()) if rows else ["family"])
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def cmd_catalog(args) -> int:
     table = catalog.killing_einstein_table if args.killing_einstein else catalog.family_table
     rows = [row for fam in (args.family or "BCD") for row in table(fam, args.lmax)]
     rows.sort(key=lambda r: (r["family"], r["l"], r["p"]))
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()) if rows else ["family"])
-        writer.writeheader()
-        writer.writerows(rows)
-        _write(buf.getvalue(), args)
-    else:
-        emit({"rows": rows, "named_spaces": catalog.known_ids()}, args)
-    return EXIT_OK
+    return _finish(args, {"rows": rows, "named_spaces": catalog.known_ids()}, [],
+                   csv=_catalog_csv)
 
 
 def cmd_space(args) -> int:
-    space, desc = resolve_space(args.id, args.normalization)
-    report = space.validate(tol=args.tols.valid)
-    cas = reductive.casimir(space)
-    out = {
-        "space": space.name,
-        "result": {
-            "algebra": space.algebra.name,
-            "dim_g": space.algebra.dim,
-            "dim_k": space.dim_k,
-            "dim_m": space.dim_m,
-            "summand_dims": list(space.summand_dims),
-            "normalization": space.ip.provenance,
-            "casimir_constants": list(cas.constants),
-        },
-        "residuals": {
-            **{k: v for k, v in report.items() if k != "ok"},
-            "casimir_scalar_deviation": cas.deviation,
-        },
-        "tolerances": {"tol": args.tol},
+    space, _ = resolve_space(args.id, args.normalization)
+    result = {
+        "algebra": space.algebra.name,
+        "dim_g": space.algebra.dim,
+        "dim_k": space.dim_k,
+        "dim_m": space.dim_m,
+        "summand_dims": list(space.summand_dims),
+        "normalization": space.ip.provenance,
+        "casimir_constants": list(reductive.casimir(space).constants),
     }
-    emit(out, args)
-    return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
+    return _single(args, space, result,
+                   _space_rows(space, args.tols, "", "casimir_scalar_deviation"))
 
 
 def _connection_for(space, args):
@@ -225,12 +235,7 @@ def _connection_for(space, args):
 def cmd_tensor(args) -> int:
     space, _ = resolve_space(args.space, args.normalization)
     nm, params, t = _connection_for(space, args)
-    out = {
-        "space": space.name,
-        "metric": {"t": t, "normalization": space.ip.provenance},
-        "params": params,
-        "tolerances": {"tol": args.tol},
-    }
+    tols = args.tols
     if args.what == "ricci":
         oracle = curvature.ricci_oracle(nm)
         if "alpha" in params:
@@ -239,94 +244,68 @@ def cmd_tensor(args) -> int:
             closed = curvature.ricci_st_closed(space, params["s"], params["t"])
         else:
             closed = oracle
-        out["result"] = {
-            "components": oracle.components,
-            "scalar": oracle.scalar,
-        }
-        out["residuals"] = {
-            "closed_vs_oracle": float(np.abs(oracle.components - closed.components).max()),
-            "symmetry": oracle.symmetry_residual(),
-        }
+        result = {"components": oracle.components, "scalar": oracle.scalar}
+        rows = [_oracle_row("closed_vs_oracle", oracle, closed, tols),
+                ("symmetry", oracle.symmetry_residual(), tols.ricci_symmetry)]
     elif args.what == "torsion":
         t3 = curvature.torsion(nm)
-        out["result"] = {
+        result = {
             "norm_squared": t3.norm_squared(),
-            "totally_skew": t3.is_totally_skew(args.tols.torsion_skew),
+            "totally_skew": t3.is_totally_skew(tols.torsion_skew),
             "components": t3.components,
         }
-        out["residuals"] = {"skew_residual": t3.skew_residual()}
+        # skew only on the Killing metric, which ``totally_skew`` reports
+        rows = [("skew_residual", t3.skew_residual(), None)]
     else:  # scalar
-        oracle = curvature.ricci_oracle(nm)
-        t3 = curvature.torsion(nm)
-        out["result"] = {
-            "scalar": oracle.scalar,
-            "torsion_norm_squared": t3.norm_squared(),
+        result = {
+            "scalar": curvature.ricci_oracle(nm).scalar,
+            "torsion_norm_squared": curvature.torsion(nm).norm_squared(),
         }
         try:  # the relation applies to skew torsion only
-            out["residuals"] = {"scalar_relation": curvature.scalar_relation_residual(nm)}
+            rows = [("scalar_relation", curvature.scalar_relation_residual(nm),
+                     tols.scalar_relation)]
         except connections.ConnectionError_:
-            out["residuals"] = {}
-    emit(out, args)
-    return EXIT_OK
+            rows = []
+    return _single(args, space, result, rows, t, params)
 
 
 def cmd_einstein(args) -> int:
     space, _ = resolve_space(args.space, args.normalization)
     if len(space.summands) != 2:
-        print(f"error: {args.space} is not a two-summand space", file=sys.stderr)
-        return EXIT_BAD_REQUEST
-    if args.kind == "riemannian":
-        rep = einstein.riemannian_quadratic(space)
-        subst = {f"t={r:g}": einstein.riemannian_root_residual(space, r)
-                 for r, _ in rep.roots if r > 0}
-    else:
-        rep = einstein.skew_einstein_quadratic(space)
-        subst = {f"s={r:g}": einstein.skew_root_residual(space, r)
-                 for r, _ in rep.roots}
-    out = {
-        "space": space.name,
-        "metric": {"t": 0.5, "normalization": space.ip.provenance},
-        "params": {},
-        "result": {
-            "kind": rep.kind,
-            "coefficients": list(rep.coefficients),
-            "discriminant": rep.discriminant,
-            "roots": [r for r, _ in rep.roots],
-            "multiplicities": [m for _, m in rep.roots],
-            "flags": rep.flags,
-            **{k: v for k, v in rep.extras.items()},
-        },
-        "residuals": {"coefficient_spread": rep.spread, **subst},
-        "tolerances": {"tol": args.tol},
+        raise BadRequest(f"{args.space} is not a two-summand space")
+    prefix = "t=" if args.kind == "riemannian" else "s="
+    rep, roots = _root_rows(space, args.kind, args.tols, prefix)
+    result = {
+        "kind": rep.kind,
+        "coefficients": list(rep.coefficients),
+        "discriminant": rep.discriminant,
+        "roots": list(rep.root_values),
+        "multiplicities": [m for _, m in rep.roots],
+        "flags": rep.flags,
+        **rep.extras,
     }
-    emit(out, args)
-    return EXIT_OK
+    rows = [("coefficient_spread", rep.spread, args.tols.summand_scalar), *roots]
+    return _single(args, space, result, rows, 0.5, {})
 
 
 def cmd_homdim(args) -> int:
     space, _ = resolve_space(args.space, args.normalization)
     result = equivariant.hom_dimension(space)
-    cert = equivariant.certify_bracket_span(result, space)
-    spot = equivariant.group_spot_check(result, space, seed=args.seed)
-    out = {
-        "space": space.name,
-        "metric": {"t": 0.5, "normalization": space.ip.provenance},
-        "params": {},
-        "result": {
-            "dimension": result.dimension,
-            "skew": result.skew_dim,
-            "symmetric": result.sym_dim,
-            "singular_value_gap": result.gap,
-        },
-        "residuals": {
-            "bracket_system": cert["system_residual"],
-            "bracket_projection": cert["projection_residual"],
-            "group_spot_check": spot,
-        },
-        "tolerances": {"tol": args.tol, "rank_gap_min": TOL.rank_gap_min},
+    cert = equivariant.certify_bracket_span(result, space, tol=args.tols.bracket_certificate)
+    rows = [
+        ("bracket_system", cert["system_residual"], cert["bound"]),
+        ("bracket_projection", cert["projection_residual"], cert["bound"]),
+        ("group_spot_check", equivariant.group_spot_check(result, space, seed=args.seed),
+         args.tols.equivariance),
+    ]
+    dims = {
+        "dimension": result.dimension,
+        "skew": result.skew_dim,
+        "symmetric": result.sym_dim,
+        # infinite when no singular value is cut, or none kept: no gap to print
+        "singular_value_gap": result.gap if math.isfinite(result.gap) else None,
     }
-    emit(out, args)
-    return EXIT_OK
+    return _single(args, space, dims, rows, 0.5, {}, rank_gap_min=TOL.rank_gap_min)
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +313,11 @@ def cmd_homdim(args) -> int:
 
 
 def _suite_reductive(space, tols):
-    checks = [(f"reductive/{key}", val, tols.valid)
-              for key, val in space.validate().items() if key != "ok"]
+    *checks, casimir_row = _space_rows(space, tols, "reductive/", "reductive/casimir_scalar")
     use1 = reductive.verify_use1(space)
     checks.append(("reductive/use1_a", use1["a_identity"], tols.use1))
     checks.append(("reductive/use1_b", use1["b_identity"], tols.use1))
-    checks.append(("reductive/casimir_scalar", reductive.casimir(space).deviation,
-                   tols.summand_scalar))
+    checks.append(casimir_row)
     if len(space.summands) == 2:
         checks += [(f"reductive/incl_{key}", val, tols.inclusions)
                    for key, val in space.inclusion_residuals.items()]
@@ -372,10 +349,8 @@ def _suite_curvature(space, tols):
         nm = connections.nomizu_alpha(space, alpha)
         oracle = curvature.ricci_oracle(nm)
         try:
-            closed = curvature.ricci_alpha_closed(space, alpha)
-            checks.append((f"curvature/oracle_alpha_{alpha:g}",
-                           float(np.abs(oracle.components - closed.components).max()),
-                           tols.oracle))
+            checks.append(_oracle_row(f"curvature/oracle_alpha_{alpha:g}", oracle,
+                                      curvature.ricci_alpha_closed(space, alpha), tols))
         except reductive.ReductiveError:
             pass
         checks.append((f"curvature/ricci_symmetric_alpha_{alpha:g}",
@@ -386,11 +361,9 @@ def _suite_curvature(space, tols):
     if len(space.summands) == 2:
         for s, t in ((0.0, 0.3), (2.0, 0.5), (1.0, 1.0)):
             nm = connections.nomizu_st(space, s, t)
-            oracle = curvature.ricci_oracle(nm)
-            closed = curvature.ricci_st_closed(space, s, t)
-            checks.append((f"curvature/oracle_s{s:g}_t{t:g}",
-                           float(np.abs(oracle.components - closed.components).max()),
-                           tols.oracle))
+            checks.append(_oracle_row(f"curvature/oracle_s{s:g}_t{t:g}",
+                                      curvature.ricci_oracle(nm),
+                                      curvature.ricci_st_closed(space, s, t), tols))
         nm = connections.nomizu_st(space, 3.0, 0.5)
         checks.append(("curvature/scalar_relation_s3",
                        curvature.scalar_relation_residual(nm), tols.scalar_relation))
@@ -400,16 +373,9 @@ def _suite_curvature(space, tols):
 def _suite_einstein(space, tols):
     checks = []
     if len(space.summands) == 2:
-        rep = einstein.riemannian_quadratic(space)
-        for r, _ in rep.roots:
-            if r > 0:
-                checks.append((f"einstein/riemannian_root_t{r:g}",
-                               einstein.riemannian_root_residual(space, r), tols.einstein_root))
-        skew = einstein.skew_einstein_quadratic(space)
-        for r, _ in skew.roots:
-            checks.append((f"einstein/skew_root_s{r:g}",
-                           einstein.skew_root_residual(space, r), tols.einstein_root))
-    elif space.nsummands == 1 and space.dim_k > 0:
+        checks += _root_rows(space, "riemannian", tols, "einstein/riemannian_root_t")[1]
+        checks += _root_rows(space, "skew", tols, "einstein/skew_root_s")[1]
+    elif space.nsummands == 1 and space.dim_k:
         checks.append(("einstein/thm4_identity",
                        einstein.thm4_identity_residual(space), tols.thm4))
         for alpha in (-2.0, 0.0, 2.0):
@@ -433,33 +399,33 @@ _SUITES = {
 }
 
 
+def _check_table(out) -> str:
+    checks = out["checks"]
+    lines = [f'{"PASS" if row["ok"] else "FAIL"}  {row["space"]:18s} {row["check"]:45s} '
+             f'{row["residual"]:.3e} < {row["tolerance"]:.0e}\n' for row in checks]
+    return "".join(lines) + f"{len(checks) - out['failed']}/{len(checks)} checks passed"
+
+
 def cmd_check(args) -> int:
     if args.all:
         ids = [sid for sid in catalog.known_ids() if not sid.startswith("flag-")]
     elif args.space:
         ids = [args.space]
     else:
-        print("error: pass --space <id> or --all", file=sys.stderr)
-        return EXIT_BAD_REQUEST
+        raise BadRequest("pass --space <id> or --all")
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
-    rows = []
-    failed = 0
+    rows, spaces = [], []
     for sid in sorted(ids):
         space, _ = resolve_space(sid, args.normalization)
         for suite in suites:
-            for name, residual, tol in _SUITES[suite](space, args.tols):
-                ok = residual < tol
-                failed += 0 if ok else 1
-                rows.append({"space": sid, "check": name,
-                             "residual": float(residual), "tolerance": tol,
-                             "ok": ok})
-    if args.format in ("json", "csv"):
-        emit({"checks": rows, "failed": failed}, args)
-    else:
-        lines = [f'{"PASS" if row["ok"] else "FAIL"}  {row["space"]:18s} {row["check"]:45s} '
-                 f'{row["residual"]:.3e} < {row["tolerance"]:.0e}\n' for row in rows]
-        _write("".join(lines) + f"{len(rows) - failed}/{len(rows)} checks passed\n", args)
-    return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
+            found = _SUITES[suite](space, args.tols)
+            rows += found
+            spaces += [sid] * len(found)
+    passed, _ = verdict(rows)
+    checks = [{"space": sid, "check": name, "residual": float(residual), "tolerance": tol,
+               "ok": ok} for sid, (name, residual, tol), ok in zip(spaces, rows, passed)]
+    return _finish(args, {"checks": checks, "failed": passed.count(False)}, rows,
+                   table=_check_table)
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +448,14 @@ def positive(text: str) -> float:
     return value
 
 
+def lmax(text: str) -> int:
+    """argparse type: an integer up to ``LMAX_BOUND``."""
+    value = int(text)
+    if value > LMAX_BOUND:
+        raise argparse.ArgumentTypeError(f"{value} is above the bound {LMAX_BOUND}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="redhom",
@@ -499,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     psub = p.add_subparsers(dest="catalog_cmd", required=True)
     plist = psub.add_parser("list")
     plist.add_argument("--family", choices=["B", "C", "D"], default=None)
-    plist.add_argument("--lmax", type=int, default=10)
+    plist.add_argument("--lmax", type=lmax, default=10)
     plist.add_argument("--killing-einstein", action="store_true")
     plist.set_defaults(func=cmd_catalog)
 
@@ -535,13 +509,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args.tols = TOL.scaled(args.tol)  # the check thresholds of this call
     try:
-        return args.func(args)
-    except (catalog.CatalogError, KeyError, equivariant.SolveTooLargeError, OSError,
-            OverflowError) as exc:
+        # silent only because ``emit`` refuses every NaN and infinity
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
+    except (BadRequest, catalog.CatalogError, KeyError, equivariant.SolveTooLargeError,
+            OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_REQUEST
     except MemoryError as exc:

@@ -252,14 +252,18 @@ def hom_dimension(space: ReductiveSpace) -> EquivariantSolveResult:
                                   skew_dim, sym_dim, s, gap)
 
 
-def certify_bracket_span(result: EquivariantSolveResult, space: ReductiveSpace) -> dict:
-    """Check the m-bracket map solves the system and lies in the solution span."""
+def certify_bracket_span(result: EquivariantSolveResult, space: ReductiveSpace,
+                         tol: float = TOL.bracket_certificate) -> dict:
+    """Check the m-bracket map solves the system and lies in the solution span.
+
+    Both residuals pass below ``bound`` = tol * max(1, max |bm|).
+    """
     bracket = space.bm.reshape(-1)
     if space.dim_k:
         sys_res = float(np.abs(_apply_equivariance(space, space.bm)).max())
     else:
         sys_res = 0.0
-    bound = TOL.bracket_certificate * max(1.0, float(np.abs(bracket).max()))
+    bound = tol * max(1.0, float(np.abs(bracket).max()))
     if result.dimension:
         flat = result.basis.reshape(result.dimension, -1)
         coeffs, *_ = np.linalg.lstsq(flat.T, bracket, rcond=None)
@@ -269,6 +273,7 @@ def certify_bracket_span(result: EquivariantSolveResult, space: ReductiveSpace) 
     return {
         "system_residual": sys_res,
         "projection_residual": proj_res,
+        "bound": bound,
         "ok": bool(sys_res < bound and proj_res < bound),
     }
 

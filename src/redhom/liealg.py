@@ -573,12 +573,6 @@ class InnerProduct:
         if self.gram.size and np.linalg.eigvalsh(self.gram).min() <= TOL.gram_positive:
             raise LieAlgebraError("inner product is not positive definite")
 
-    def pairing(self, x, y) -> float:
-        return float(np.asarray(x) @ self.gram @ np.asarray(y))
-
-    def norm(self, x) -> float:
-        return float(np.sqrt(max(self.pairing(x, x), 0.0)))
-
 
 def negative_killing(a: LieAlgebra, center_weight: float | None = None) -> InnerProduct:
     """-K as an inner product; optionally patched on the centre.
@@ -610,19 +604,20 @@ def bprime(a: LieAlgebra) -> InnerProduct:
 
 
 def gram_schmidt(vectors, ip: InnerProduct) -> np.ndarray:
-    """Orthonormalize rows with respect to an inner product.
+    """Orthonormalize rows with respect to an inner product, in order.
 
-    Raises on near-dependence (pivot below tolerance).  Already-orthonormal
-    input is returned unchanged.
+    Gram-Schmidt as one factorization: with ip.gram = L L^T, the Householder
+    QR (V L)^T = Q R with diag(R) > 0 gives the rows R^{-T} V.  |R_ii| is
+    the norm of row i less its projection on the rows before it; below
+    ``TOL.dependence`` times max(1, norm of row i) the rows are nearly
+    dependent and it raises.  Already-orthonormal input comes back to
+    rounding.
     """
     vectors = np.asarray(vectors, dtype=float)
-    out = []
-    for row in vectors:
-        v = row.copy()
-        for u in out:
-            v = v - ip.pairing(u, v) * u
-        nrm = ip.norm(v)
-        if nrm < TOL.dependence * max(1.0, ip.norm(row)):
-            raise LieAlgebraError("gram_schmidt: input vectors are nearly dependent")
-        out.append(v / nrm)
-    return np.array(out).reshape(len(out), vectors.shape[1] if vectors.size else 0)
+    w = vectors @ np.linalg.cholesky(ip.gram)
+    r = np.linalg.qr(w.T, mode="r")
+    pivots = np.diagonal(r)
+    if len(pivots) < len(vectors) or np.any(
+            np.abs(pivots) < TOL.dependence * np.maximum(1.0, np.linalg.norm(w, axis=1))):
+        raise LieAlgebraError("gram_schmidt: input vectors are nearly dependent")
+    return np.sign(pivots)[:, None] * np.linalg.solve(r.T, vectors)

@@ -19,6 +19,12 @@ Threshold lint: no float literal in (0, 1e-6] appears in ``src/redhom``
 outside ``redhom/tolerances.py``.  Every pass/fail threshold and numerical
 cut is a field of the one policy there; docstring prose is not an ``ast``
 float and is not counted.
+
+Verdict lint: every ordering comparison (``<``, ``<=``, ``>``, ``>=``) in
+``redhom/cli.py`` sits in ``verdict``, the one function that judges a
+residual against its tolerance, or in an argparse type (a function that
+``cli.py`` passes as ``type=``).  A command that compares a residual of
+its own grows a second pass/fail rule.
 """
 
 from __future__ import annotations
@@ -181,3 +187,25 @@ def threshold_literals() -> list:
 def test_thresholds_live_in_the_tolerance_policy():
     found = threshold_literals()
     assert not found, f"{len(found)} threshold literals outside tolerances.py: {found}"
+
+
+def stray_comparisons() -> list:
+    """Sorted ``function:line`` of every ordering comparison in cli.py outside the verdict."""
+    tree = ast.parse((ROOT / "src/redhom/cli.py").read_text())
+    allowed = {"verdict"} | {kw.value.id for node in ast.walk(tree) if isinstance(node, ast.Call)
+                             for kw in node.keywords
+                             if kw.arg == "type" and isinstance(kw.value, ast.Name)}
+    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    out = []
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        if name not in allowed:
+            out += [f"{name}:{node.lineno}" for node in ast.walk(top)
+                    if isinstance(node, ast.Compare)
+                    and any(isinstance(op, ordering) for op in node.ops)]
+    return sorted(out)
+
+
+def test_every_residual_is_judged_by_the_verdict():
+    found = stray_comparisons()
+    assert not found, f"{len(found)} comparisons outside cli.verdict: {found}"

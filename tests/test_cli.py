@@ -2,8 +2,10 @@ import contextlib
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import redhom
-from redhom import catalog, equivariant
+from redhom import catalog, cli, curvature, einstein, equivariant, reductive
 from redhom.cli import main
 
 
@@ -104,7 +106,6 @@ def test_invalid_flag_params_exit_code(capsys):
     assert code == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the oracle overflows first
 @pytest.mark.parametrize("argv", [
     ("space", "build", "lie-group(u0)"),
     ("--out", "{missing}", "space", "build", "cp3"),
@@ -118,6 +119,82 @@ def test_invalid_requests_exit_2_with_one_line(capsys, tmp_path, argv):
     assert err.startswith("error:") and err.count("\n") == 1
     if "--out" in argv:
         assert missing in err
+
+
+# Requests whose numbers overflow inside numpy: NaN or infinity in the report.
+OVERFLOWS = [
+    ("tensor", "ricci", "--space", "cp3", "--s", "1e300", "--t", "1e300"),
+    ("tensor", "scalar", "--space", "cp3", "--alpha", "1e200"),
+    ("tensor", "torsion", "--space", "cp3", "--t", "5e-324"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("argv", OVERFLOWS)
+def test_non_finite_results_exit_2_without_a_warning(capsys, argv, fmt):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "--format", fmt, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: non-finite result at ") and err.count("\n") == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_undefined_homdim_gap_prints_null(capsys):
+    # sphere-s4 has no invariant connection: no singular value is cut
+    code, out, _ = run_cli(capsys, "--format", "json", "homdim", "--space", "sphere-s4")
+    assert code == 0
+    assert json.loads(out)["result"]["singular_value_gap"] is None
+
+
+def _fail(*args, **kwargs):
+    return 1.0
+
+
+# (argv, object, attribute): one residual producer per command, made to fail
+FAILING_RESIDUALS = [
+    (("space", "build", "cp3"), reductive.ReductiveSpace, "validate"),
+    (("tensor", "ricci", "--space", "cp3", "--s", "2", "--t", "0.5"),
+     curvature.Tensor2, "symmetry_residual"),
+    (("tensor", "scalar", "--space", "cp3", "--s", "3", "--t", "0.5"),
+     curvature, "scalar_relation_residual"),
+    (("einstein", "riemannian", "--space", "cp3"), einstein, "riemannian_root_residual"),
+    (("einstein", "skew", "--space", "cp3"), einstein, "skew_root_residual"),
+    (("homdim", "--space", "sphere-s7"), equivariant, "group_spot_check"),
+    (("check", "--space", "sphere-s7", "--suite", "einstein"), einstein,
+     "thm4_identity_residual"),
+]
+
+
+@pytest.mark.parametrize("argv, owner, name", FAILING_RESIDUALS,
+                         ids=[" ".join(argv[:2]) for argv, _, _ in FAILING_RESIDUALS])
+def test_a_failed_residual_exits_1_and_still_prints(capsys, monkeypatch, argv, owner, name):
+    code, out, _ = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0
+    if name == "validate":  # after the build, which validates the space itself
+        monkeypatch.setattr(owner, name, lambda self: {"m_orthonormal": 1.0, "ok": False})
+    else:
+        monkeypatch.setattr(owner, name, _fail)
+    code, failed, err = run_cli(capsys, "--format", "json", *argv)
+    assert code == 1 and err == ""
+    got, want = json.loads(failed), json.loads(out)
+    assert got.keys() == want.keys()
+    assert 1.0 in _residuals(got) and 1.0 not in _residuals(want)
+
+
+def _residuals(out):
+    if "checks" in out:
+        return [row["residual"] for row in out["checks"]]
+    return list(out["residuals"].values())
+
+
+def test_torsion_skew_residual_is_not_judged(capsys):
+    # t != 1/2: not the Killing metric, so the torsion is not skew, and exit 0
+    code, out, _ = run_cli(capsys, "--format", "json", "tensor", "torsion",
+                           "--space", "cp3", "--s", "2", "--t", "0.8")
+    data = json.loads(out)
+    assert code == 0 and data["result"]["totally_skew"] is False
+    assert data["residuals"]["skew_residual"] > data["tolerances"]["tol"]
 
 
 def test_oversized_homdim_exits_2(capsys):
@@ -216,6 +293,8 @@ def test_normalization_override(capsys):
     ("--tol", "inf", "check", "--space", "cp3"),
     ("--tol", "0", "check", "--space", "cp3"),
     ("--tol", "-1e-9", "check", "--space", "cp3"),
+    ("catalog", "list", "--lmax", str(cli.LMAX_BOUND + 1)),
+    ("catalog", "list", "--lmax", "x"),
 ])
 def test_bad_numeric_parameters_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -269,7 +348,7 @@ def cli_requests(draw):
     command = draw(st.sampled_from(["catalog", "space", "tensor", "einstein", "homdim",
                                     "check"]))
     if command == "catalog":
-        argv += ["catalog", "list", "--lmax", str(draw(st.integers(-2, 6)))]
+        argv += ["catalog", "list", "--lmax", str(draw(st.integers(-2, 6) | st.just(10**6)))]
         if draw(st.booleans()):
             argv += ["--family", draw(st.sampled_from("BCDX"))]
         if draw(st.booleans()):
@@ -292,11 +371,17 @@ def cli_requests(draw):
     return argv
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on extreme values
+# NaN or infinity as any format prints it: json, csv (repr) and table (numpy)
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(cli_requests())
 @example(["tensor", "ricci", "--space", "sphere-s7", "--alpha", "1e300"])
 @example(["space", "build", "lie-group(u0)"])
+@example(["--format", "json", *OVERFLOWS[0]])
+@example(["--format", "csv", *OVERFLOWS[1]])
+@example(["--format", "table", *OVERFLOWS[2]])
 def test_cli_fuzz_exits_0_1_or_2_without_a_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -306,3 +391,5 @@ def test_cli_fuzz_exits_0_1_or_2_without_a_traceback(argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert not NON_FINITE.search(out.getvalue()), argv

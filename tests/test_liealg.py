@@ -457,6 +457,50 @@ def test_gram_schmidt_rejects_dependent():
     v = np.eye(10)[0]
     with pytest.raises(LieAlgebraError):
         gram_schmidt([v, v], ip)
+    with pytest.raises(LieAlgebraError):  # more rows than dimensions
+        gram_schmidt(np.eye(10)[[*range(10), 0]] + 0.1, ip)
+
+
+def gram_schmidt_loop(vectors, ip):
+    """Classical Gram-Schmidt, one row at a time: the reference."""
+    out = []
+    for row in np.asarray(vectors, dtype=float):
+        v = row.copy()
+        for u in out:
+            v = v - (u @ ip.gram @ v) * u
+        nrm = np.sqrt(max(v @ ip.gram @ v, 0.0))
+        if nrm < TOL.dependence * max(1.0, np.sqrt(row @ ip.gram @ row)):
+            raise LieAlgebraError("gram_schmidt: input vectors are nearly dependent")
+        out.append(v / nrm)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("space_id", ["cp3", "sphere-s6", "flag-D(6,4)"])
+def test_gram_schmidt_matches_the_row_loop(space_id):
+    from redhom.catalog import build_space
+
+    space = build_space(space_id)
+    rng = np.random.default_rng(3)
+    k = space.k_basis
+    mixed = rng.standard_normal((k.shape[0], k.shape[0])) @ k
+    complement = liealg.nullspace(k @ space.ip.gram)
+    for rows in (k, mixed, complement, complement[::-1]):
+        got, want = gram_schmidt(rows, space.ip), gram_schmidt_loop(rows, space.ip)
+        assert np.abs(got - want).max() < 1e-12
+        assert np.abs(got @ space.ip.gram @ got.T - np.eye(len(rows))).max() < 1e-12
+
+
+def test_gram_schmidt_pivot_is_relative_to_the_row():
+    # the same dependence at any scale above 1: pivot 1e-10 * |row| fails
+    ip = bprime(build_so(5))
+    e = np.eye(10)
+    for scale in (1.0, 1e3):
+        near = scale * (e[0] + 1e-10 * e[1])
+        with pytest.raises(LieAlgebraError):
+            gram_schmidt([scale * e[0], near], ip)
+        with pytest.raises(LieAlgebraError):
+            gram_schmidt_loop([scale * e[0], near], ip)
+        assert len(gram_schmidt([scale * e[0], scale * (e[0] + 1e-6 * e[1])], ip)) == 2
 
 
 def test_inner_product_requires_positive_definite():
