@@ -290,7 +290,7 @@ def cmd_einstein(args) -> int:
 
 def cmd_homdim(args) -> int:
     space, _ = resolve_space(args.space, args.normalization)
-    result = equivariant.hom_dimension(space)
+    result = equivariant.hom_dimension(space, seed=args.seed)
     cert = equivariant.certify_bracket_span(result, space, tol=args.tols.bracket_certificate)
     rows = [
         ("bracket_system", cert["system_residual"], cert["bound"]),

@@ -21,7 +21,7 @@ class Tolerances(NamedTuple):
     """One field per decision, each at the value the package was built with.
 
     Immutable.  A ``NamedTuple`` rather than a frozen dataclass: every cold
-    CLI process builds this class, and for 42 fields the dataclass
+    CLI process builds this class, and for 43 fields the dataclass
     machinery costs about five times what the tuple does.
     """
 
@@ -79,6 +79,7 @@ class Tolerances(NamedTuple):
     skew_quadratic_zero: float = 1e-9   # ``solve_skew_quadratic``
     hom_rank: float = 1e-7              # ``hom_dimension``: lambda cut over lambda_max
     rank_gap_min: float = 1e3           # ``hom_dimension``: smallest accepted gap
+    weight_zero: float = 1e-8           # ``hom_dimension``: a zero weight (relative)
 
     def scaled(self, tol: float) -> "Tolerances":
         """Every check threshold times tol / ``REFERENCE_TOL``; cuts as they are."""

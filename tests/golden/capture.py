@@ -24,6 +24,7 @@ COMMANDS = {
     "einstein_riemannian_cp3": ["einstein", "riemannian", "--space", "cp3"],
     "einstein_skew_flag_c53": ["einstein", "skew", "--space", "flag-C(5,3)"],
     "homdim_sphere_s6": ["homdim", "--space", "sphere-s6"],
+    "homdim_flag_c53": ["homdim", "--space", "flag-C(5,3)"],
     "catalog_c_lmax8_ke": ["catalog", "list", "--family", "C", "--lmax", "8",
                            "--killing-einstein"],
     "tensor_ricci_cp3_s2_t05": ["tensor", "ricci", "--space", "cp3",

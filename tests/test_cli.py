@@ -197,7 +197,13 @@ def test_torsion_skew_residual_is_not_judged(capsys):
     assert data["residuals"]["skew_residual"] > data["tolerances"]["tol"]
 
 
-def test_oversized_homdim_exits_2(capsys):
+def test_oversized_homdim_exits_2(capsys, monkeypatch):
+    # flag-C(5,3) needs 86 MiB: over a 64 MiB budget, and refused before the solve
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Gram matrix built")
+
+    monkeypatch.setattr(equivariant, "SOLVE_BUDGET_BYTES", 1 << 26)
+    monkeypatch.setattr(equivariant, "_reduced_gram", forbidden)
     code, out, err = run_cli(capsys, "homdim", "--space", "flag-C(5,3)")
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1

@@ -17,13 +17,12 @@ from redhom.equivariant import (
     _apply_equivariance,
     _equivariance_operator,
     _expm_skew,
-    _gram,
+    _zero_weight,
     certify_bracket_span,
     group_spot_check,
     hom_dimension,
     solve_bytes,
 )
-from redhom.liealg import _BLOCK
 from redhom.reductive import ReductiveError
 
 SMALL_SPACES = ["cp3", "sphere-s4", "sphere-s6", "sphere-s7", "berger", "flag-B(2,2)"]
@@ -102,19 +101,22 @@ def test_lie_group_case_returns_everything(su2_group):
 
 
 def test_oversized_solve_is_refused_before_building(sphere_s7, monkeypatch):
-    # the symmetric block (196 = 49 * 8 / 2), LAPACK's copy, two of
-    # workspace and the eigenvectors: 5 x 196^2 doubles, above G (343^2)
-    # with both blocks, and two bands of gather scratch
-    assert solve_bytes(sphere_s7) == 8 * (5 * 196**2 + 2 * _BLOCK) < SOLVE_BUDGET_BYTES
-    assert 343**2 + 196**2 + 147**2 < 5 * 196**2
-    # 24 GiB of swap-block solve on flag-C(5,3): refused from its size alone
+    # r = 31 zero-weight triples of the 7-dimensional representation of g2
+    # (weights 0 and the six short roots): (0, 0, 0), 18 orderings of
+    # (0, a, -a) and 12 of the two root triangles
+    vecs, codes = _zero_weight(sphere_s7, 0)
+    assert codes.size == 31 and np.abs(vecs.conj().T @ vecs - np.eye(7)).max() < 1e-14
+    assert solve_bytes(sphere_s7) == (16 * (8 * 31**2 + 2 * 14 * 7**2 + 4 * 7**3)
+                                      + 8 * 31 * 7**3) < SOLVE_BUDGET_BYTES
+    # flag-C(5,3) needs 86 MiB: refused from its size alone under a 64 MiB budget
 
     def forbidden(*args, **kwargs):
         raise AssertionError("Gram matrix built")
 
-    monkeypatch.setattr(equivariant, "_gram", forbidden)
+    monkeypatch.setattr(equivariant, "_reduced_gram", forbidden)
+    monkeypatch.setattr(equivariant, "SOLVE_BUDGET_BYTES", 1 << 26)
     space = catalog.build_space("flag-C(5,3)")
-    with pytest.raises(SolveTooLargeError, match="flag-C"):
+    with pytest.raises(SolveTooLargeError, match="flag-C.*GiB"):
         hom_dimension(space)
 
 
@@ -132,29 +134,29 @@ def subspace_rank(vectors: np.ndarray) -> int:
 @pytest.mark.parametrize("space_id", SMALL_SPACES)
 def test_gram_null_space_matches_dense_svd(space_id, normalization):
     space, _ = resolve_space(space_id, normalization)
-    system = _equivariance_operator(space)
-    gram = _gram(space)
-    assert np.abs(gram - system.T @ system).max() < 1e-12 * max(1.0, np.abs(gram).max())
-    _, dense_s, vt = np.linalg.svd(system, full_matrices=False)
+    n = space.dim_m
+    _, dense_s, vt = np.linalg.svd(_equivariance_operator(space), full_matrices=False)
     rank = int((dense_s > dense_s[0] * 1e-9).sum())
     dense = vt[rank:].T
-    res = hom_dimension(space)
-    assert res.dimension == dense.shape[1]
-    assert np.allclose(res.singular_values[:rank], dense_s[:rank], rtol=1e-10)
-    assert res.gap >= 1e3
-    if res.dimension:
-        ours = res.basis.reshape(res.dimension, -1).T
-        assert np.abs(ours.T @ ours - np.eye(res.dimension)).max() < 1e-12
-        # sine of the largest principal angle between the two null spaces
-        assert np.linalg.norm(ours - dense @ (dense.T @ ours), 2) < 1e-8
-    # the swap-block counts are the ranks of the skew and symmetric parts
-    # of the dense null space
-    n = space.dim_m
+    # the swap-skew and swap-symmetric parts of the dense null space
     null = dense.T.reshape(-1, n, n, n)
     swapped = null.transpose(0, 2, 1, 3)
-    assert res.skew_dim == subspace_rank((null - swapped) / 2.0)
-    assert res.sym_dim == subspace_rank((null + swapped) / 2.0)
-    assert res.skew_dim + res.sym_dim == res.dimension
+    skew, sym = subspace_rank((null - swapped) / 2.0), subspace_rank((null + swapped) / 2.0)
+    for seed in (0, 1):
+        res = hom_dimension(space, seed=seed)
+        assert res.dimension == dense.shape[1]
+        assert (res.skew_dim, res.sym_dim) == (skew, sym)
+        assert res.gap >= 1e3
+        # the reduced Gram matrix is the Casimir operator on a sum of its
+        # eigenspaces: every kept singular value is one of the dense ones
+        kept = res.singular_values[:res.singular_values.size - res.dimension]
+        for value in kept:
+            assert np.abs(dense_s[:rank] - value).min() <= 1e-10 * value
+        if res.dimension:
+            ours = res.basis.reshape(res.dimension, -1).T
+            assert np.abs(ours.T @ ours - np.eye(res.dimension)).max() < 1e-12
+            # sine of the largest principal angle between the two null spaces
+            assert np.linalg.norm(ours - dense @ (dense.T @ ours), 2) < 1e-8
 
 
 @pytest.mark.parametrize("space_id", SMALL_SPACES)
@@ -195,6 +197,9 @@ def test_spot_check_refuses_a_non_skew_action(sphere_s6):
                            name="bent")
     with pytest.raises(ReductiveError, match="not skew"):
         group_spot_check(res, fake)
+    # the reduced solve assumes the skew action too
+    with pytest.raises(ReductiveError, match="not skew"):
+        hom_dimension(fake)
 
 
 def test_import_does_not_load_scipy():
@@ -233,6 +238,30 @@ def test_flag_b32_is_answered(flag_b32_solve):
 def test_flag_b32_solve_stays_within_its_budget(flag_b32_solve):
     space, _, peak = flag_b32_solve
     assert peak <= solve_bytes(space)
-    # numpy sees G with its two swap blocks (1.5 n^6 doubles), and then the
-    # blocks and eigenvectors: no other n^6-sized array is formed
+    # no n^6-sized array: the solve works on the r zero-weight triples
     assert peak < 1.6 * 8 * space.dim_m**6
+
+
+CATALOG_FLAGS = ["flag-B(5,4)", "flag-C(5,3)", "flag-D(6,4)"]
+
+
+@pytest.mark.parametrize("space_id", CATALOG_FLAGS)
+def test_catalog_flags_are_answered(space_id):
+    space = catalog.build_space(space_id)
+    res = hom_dimension(space)
+    assert (res.dimension, res.skew_dim, res.sym_dim) == (6, 4, 2)
+    assert res.gap >= 1e3
+    assert certify_bracket_span(res, space)["ok"]
+    assert group_spot_check(res, space, samples=10, seed=0) < 1e-9
+
+
+def test_flag_d64_solve_stays_within_its_budget():
+    space = catalog.build_space("flag-D(6,4)")
+    tracemalloc.start()
+    try:
+        hom_dimension(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= solve_bytes(space)
+    assert peak < 32 * 2**20

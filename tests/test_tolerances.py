@@ -18,7 +18,7 @@ def run_json(capsys, *argv):
 
 def test_scaled_moves_check_thresholds_and_never_cuts():
     assert TOL.scaled(REFERENCE_TOL) == TOL
-    assert len(CUTS) == 16 and {"nullspace_rtol", "rank_gap_min"} <= CUTS
+    assert len(CUTS) == 17 and {"nullspace_rtol", "rank_gap_min", "weight_zero"} <= CUTS
     scaled = TOL.scaled(1e-6)
     for name, value in zip(TOL._fields, TOL):
         want = value if name in CUTS else value * (1e-6 / REFERENCE_TOL)
