@@ -41,7 +41,12 @@ from .reductive import (
 
 
 class CatalogError(ValueError):
-    """Unknown space id or invalid family parameters."""
+    """Unknown space id, invalid family parameters or an oversized algebra."""
+
+
+# Largest dense structure tensor, 8 dim^3 bytes, that a space id may ask for:
+# so(24) (168 MB) builds, so(40) (3.8 GB) is refused.
+STRUCTURE_BUDGET_BYTES = 1 << 30
 
 
 # family: (smallest p, l - largest p); the smallest l is their sum
@@ -330,8 +335,23 @@ _FLAG_RE = re.compile(r"^flag-([BCD])\((\d+),(\d+)\)$")
 _GROUP_RE = re.compile(r"^lie-group\((\w+)\)$")
 
 
+def _require_structure_fits(sid: str, dim: int) -> None:
+    """Raise CatalogError when a dim-``dim`` structure tensor is over budget."""
+    need = 8 * dim ** 3
+    if need > STRUCTURE_BUDGET_BYTES:
+        raise CatalogError(
+            f"{sid}: the structure tensor of its dimension-{dim} algebra needs "
+            f"{need / 2**30:.3g} GiB, over the {STRUCTURE_BUDGET_BYTES / 2**30:g} GiB budget"
+        )
+
+
 def parse_id(space_id: str) -> SpaceDescriptor:
-    """Resolve a space id string to a descriptor."""
+    """Resolve a space id string to a descriptor.
+
+    The ambient algebra of a flag, so(n) or sp(l), and of ``lie-group(uN)``
+    is sized from the id alone, so an oversized one is refused before
+    anything is built.
+    """
     sid = space_id.strip()
     if sid in _NAMED:
         return _NAMED[sid]
@@ -339,11 +359,16 @@ def parse_id(space_id: str) -> SpaceDescriptor:
     if m:
         fam, ell, p = m.group(1), int(m.group(2)), int(m.group(3))
         spec = FamilySpec(fam, ell, p)
+        n = 2 * ell + (fam == "B")
+        _require_structure_fits(sid, ell * (2 * ell + 1) if fam == "C" else n * (n - 1) // 2)
         ke = killing_einstein_p(fam, ell) == p
         return SpaceDescriptor(sid, f"flag-{fam}", (ell, p),
                                expected={"dims": family_dims(spec), "cas_equal": ke})
     m = _GROUP_RE.match(sid)
     if m:
+        key = m.group(1).lower()
+        if key.startswith("u") and key[1:].isdigit():
+            _require_structure_fits(sid, int(key[1:]) ** 2)
         return SpaceDescriptor(sid, "lie-group", (m.group(1),))
     raise CatalogError(f"unknown space id {space_id!r}")
 

@@ -54,15 +54,16 @@ def _equivariance_operator(space: ReductiveSpace) -> np.ndarray:
     return np.vstack(blocks) if blocks else np.zeros((0, n**3))
 
 
-def _apply_equivariance(space: ReductiveSpace, eta: np.ndarray) -> np.ndarray:
-    """A_a eta for every isotropy generator, shape (dim k, n, n, n), by three contractions.
+def _apply_equivariance(adk: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """A_a eta for each isotropy action ad_a in ``adk``, shape (len(adk), n, n, n),
+    by three contractions.
 
     The two input slots carry -ad_a^T and the output slot carries ad_a.
     """
-    adt = -space.adk.transpose(0, 2, 1)
+    adt = -adk.transpose(0, 2, 1)
     return (np.tensordot(adt, eta, (2, 0))
             + np.tensordot(adt, eta, (2, 1)).transpose(0, 2, 1, 3)
-            + np.tensordot(space.adk, eta, (2, 2)).transpose(0, 2, 3, 1))
+            + np.tensordot(adk, eta, (2, 2)).transpose(0, 2, 3, 1))
 
 
 def _normal(rng: random.Random, size: int) -> np.ndarray:
@@ -137,22 +138,29 @@ def _real_maps(vecs: np.ndarray, codes: np.ndarray, conj: np.ndarray,
     return maps
 
 
-def solve_bytes(space: ReductiveSpace, seed: int = 0) -> int:
-    """Peak bytes of the reduced solve, n = dim m, N = n^3, r zero-weight triples.
+def solve_bytes(space: ReductiveSpace, r: int, d: int = 0) -> int:
+    """Peak bytes of the reduced solve on r zero-weight triples with d maps.
 
-    Counting r takes only the n x n ``eigh`` of ``_zero_weight``.  The r x r
-    stages (the Gram matrix beside one generator's gathers, ``eigh`` with
-    LAPACK's copy, workspace and eigenvectors, the conjugation) hold at
-    most 8 r^2 complex entries; beside them sit the k x n x n weight-basis
-    action, a few N-sized arrays of one mapped-back map, and the basis, d
-    maps of N doubles with d <= r (an equality when dim k = 1).  With
-    dim k = 0 the answer is the N x N identity.
+    n = dim m and N = n^3.  The r x r stages (the Gram matrix beside one
+    generator's gathers, ``eigh`` with LAPACK's copy, workspace and
+    eigenvectors, the conjugation) hold at most 8 r^2 complex entries;
+    beside them sit the k x n x n weight-basis action and a few N-sized
+    arrays of one mapped-back map.  The basis adds d maps of N doubles.
+    With dim k = 0 the answer is the N x N identity.
     """
     n = space.dim_m
     if not space.dim_k:
         return 8 * n ** 6
-    r = _zero_weight(space, seed)[1].size
-    return 16 * (8 * r * r + 2 * space.dim_k * n * n + 4 * n ** 3) + 8 * r * n ** 3
+    return 16 * (8 * r * r + 2 * space.dim_k * n * n + 4 * n ** 3) + 8 * d * n ** 3
+
+
+def _admit(space: ReductiveSpace, need: int) -> None:
+    """Raise SolveTooLargeError when ``need`` bytes exceed ``SOLVE_BUDGET_BYTES``."""
+    if need > SOLVE_BUDGET_BYTES:
+        raise SolveTooLargeError(
+            f"the equivariance solve on {space.name} needs "
+            f"{need / 2**30:.3g} GiB, over the {SOLVE_BUDGET_BYTES / 2**30:g} GiB budget"
+        )
 
 
 def hom_dimension(space: ReductiveSpace, seed: int = 0) -> EquivariantSolveResult:
@@ -171,23 +179,20 @@ def hom_dimension(space: ReductiveSpace, seed: int = 0) -> EquivariantSolveResul
     smallest kept lambda over sqrt of the largest discarded |lambda|, is
     below ``TOL.rank_gap_min``.  The input-slot swap permutes the triples;
     its -1 and +1 eigenvectors on the null space are the skew and
-    symmetric maps.  SolveTooLargeError is raised, before anything is
-    built, when ``solve_bytes`` exceeds ``SOLVE_BUDGET_BYTES``.
+    symmetric maps.  SolveTooLargeError is raised when ``solve_bytes``
+    exceeds ``SOLVE_BUDGET_BYTES``: for the r x r stage once r is known,
+    before the Gram matrix is built, and for the basis once the solve
+    knows its dimension d, before any map is formed.
     """
     n = space.dim_m
-    if space.dim_k:
-        _require_skew(space)
-    need = solve_bytes(space, seed)
-    if need > SOLVE_BUDGET_BYTES:
-        raise SolveTooLargeError(
-            f"the equivariance solve on {space.name} needs "
-            f"{need / 2**30:.3g} GiB, over the {SOLVE_BUDGET_BYTES / 2**30:g} GiB budget"
-        )
     if space.dim_k == 0:
+        _admit(space, solve_bytes(space, 0))
         basis = np.eye(n**3).reshape(-1, n, n, n)
         return EquivariantSolveResult(n**3, basis, n * n * (n - 1) // 2,
                                       n * n * (n + 1) // 2, np.zeros(0), np.inf)
+    _require_skew(space)
     vecs, codes = _zero_weight(space, seed)
+    _admit(space, solve_bytes(space, codes.size))
     x, y, z = np.unravel_index(codes, (n, n, n))
     lam, null = np.linalg.eigh(_reduced_gram(vecs.conj().T @ space.adk @ vecs, x, y, z))
     cut = lam.max(initial=0.0) * TOL.hom_rank
@@ -200,6 +205,7 @@ def hom_dimension(space: ReductiveSpace, seed: int = 0) -> EquivariantSolveResul
         raise RankAmbiguityError(
             f"indeterminate rank: singular-value gap {gap:.1e} < {TOL.rank_gap_min:.0e}"
         )
+    _admit(space, solve_bytes(space, codes.size, dimension))
     null = null[:, :dimension]
     swap, rot = np.linalg.eigh(null.conj().T @ null[np.searchsorted(codes, (y * n + x) * n + z)])
     null = null @ rot
@@ -215,10 +221,13 @@ def certify_bracket_span(result: EquivariantSolveResult, space: ReductiveSpace,
                          tol: float = TOL.bracket_certificate) -> dict:
     """Check the m-bracket map solves the system and lies in the solution span.
 
-    Both residuals pass below ``bound`` = tol * max(1, max |bm|).
+    Both residuals pass below ``bound`` = tol * max(1, max |bm|).  The
+    system residual is taken one generator at a time, so the (dim k, n, n, n)
+    defect is never formed.
     """
     bracket = space.bm.reshape(-1)
-    sys_res = float(np.abs(_apply_equivariance(space, space.bm)).max()) if space.dim_k else 0.0
+    sys_res = max((float(np.abs(_apply_equivariance(ad[None], space.bm)).max())
+                   for ad in space.adk), default=0.0)
     bound = tol * max(1.0, float(np.abs(bracket).max()))
     if result.dimension:
         flat = result.basis.reshape(result.dimension, -1)

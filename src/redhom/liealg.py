@@ -16,7 +16,9 @@ import numpy as np
 
 from .tolerances import TOL
 
-_BLOCK = 1 << 16  # entries of one scratch table in an algebra build or check
+# entries of one scratch table in an algebra build, the antisymmetry and Killing
+# checks or a connection's equivariance check; the Jacobi check is not blocked
+_BLOCK = 1 << 16
 
 # Associative 3-form on R^7: index triples (1-based) and signs.
 _G2_FORM = [
@@ -134,7 +136,9 @@ class LieAlgebra:
         """Residuals of antisymmetry, Jacobi and ad-invariance of the Killing form.
 
         Antisymmetry and ad-invariance are taken over blocks of the first
-        index of at most ``_BLOCK`` entries; see ``_jacobi_residual`` for Jacobi.
+        index of at most ``_BLOCK`` entries.  Jacobi, which holds exactly when
+        ad is a representation, is taken one output index at a time over the
+        nonzero brackets; see ``_jacobi_residual``.
         """
         c, k = self.structure, self.killing
         antisym = ad_inv = 0.0
@@ -153,116 +157,51 @@ class LieAlgebra:
         }
 
 
-def _product(rows: np.ndarray, right: np.ndarray, inner: np.ndarray,
-             cols: np.ndarray) -> np.ndarray:
-    """``rows[:, inner] @ right[inner][:, cols]``, flattened, with one
-    trailing zero that every clipped index past the end reads.
-
-    The columns of ``right`` are gathered a chunk of at most ``_BLOCK``
-    entries at a time, so ``right`` is never copied whole.
-    """
-    lhs = rows[:, inner]
-    out = np.zeros(rows.shape[0] * cols.size + 1)
-    table = out[:-1].reshape(rows.shape[0], cols.size)
-    step = max(1, _BLOCK // max(inner.size, 1))
-    for j in range(0, cols.size, step):
-        np.matmul(lhs, right[inner[:, None], cols[j:j + step]], out=table[:, j:j + step])
-    return out
-
-
-def _nonzeros(flat: np.ndarray):
-    """Indices of the nonzero entries of a ``_product``, ``_BLOCK`` at a time."""
-    end = flat.size - 1
-    for start in range(0, end, _BLOCK):
-        yield start + np.flatnonzero(flat[start:min(start + _BLOCK, end)] != 0)
-
-
 def _jacobi_residual(c: np.ndarray) -> float:
     """max |[[a,b],e] + [[b,e],a] + [[e,a],b]| over distinct a < b < e.
 
-    With T[(p,q),(r,m)] = sum_l c[p,q,l] c[l,r,m] over the nonzero brackets
-    p < q and the nonzero columns (r, m) of c, the Jacobi sum is
-    J = T(a,b,e) + T(b,e,a) - T(a,e,b).  Once c is antisymmetric (checked
-    beside this) J is alternating, so the sorted triples are the whole
-    check, and J can be nonzero only where one of its three terms is.
-    T is never stored.  For a block of smallest indices a0 <= a < a1 two
-    slabs of it are formed: P, its rows (a, q) over the columns (r, m) with
-    r > a0, and Q, its columns (a, m) over the rows (b, e) with b >= a0.
-    P holds the first and third terms of every triple (a, b, e) in the
-    block and Q the second, so each nonzero of P or Q names a triple whose
-    three terms are read back from P and Q.
-    Blocks grow while P and Q fit in ``_BLOCK`` entries, and their nonzeros
-    are read ``_BLOCK`` at a time.  A block holds at least one a, whose
-    slabs are O(d^3) even for a dense c, never the d^4 product; each product
-    runs only over the brackets its rows reach, so a sparse c costs little.
-    Beside the slabs the call keeps the nonzero bracket rows and c's
-    nonzero pattern, and gathers the right operand of each product from c,
-    ``_BLOCK`` entries at a time, so no copy of c is made.
+    One output index m at a time: with K_m[(x,y), z] = sum_l c[x,y,l] c[l,z,m]
+    over the brackets x < y, the m-th coefficient of the Jacobi sum is
+    J = K_m(a,b,e) - K_m(a,e,b) + K_m(b,e,a).  Once c is antisymmetric
+    (checked beside this) J is alternating, so the sorted triples are the
+    whole check, and J can be nonzero only where one of its three terms is.
+    K_m is one dense product whose rows are the brackets x < y that reach
+    an l with c[l,:,m] != 0 and whose columns are the z those l reach;
+    every other entry is 0, read from a trailing zero row and column.  Each
+    nonzero of K_m names a triple whose three terms are read back from K_m.
+    A repeated index (b = a or b = e) reads one entry twice, with opposite
+    signs, and a row (x, x) that is no bracket, so it adds exactly 0.
+    Beside c's nonzero pattern the call holds one K_m and its operands, so
+    a sparse c costs little and a dense one O(d^3) at a time.
     """
     d = c.shape[0]
-    nonzero = c != 0
-    x, y = np.nonzero(np.triu(nonzero.any(axis=2), 1))
-    if not x.size:
-        return 0.0
-    right, flat = c.reshape(d, d * d), nonzero.reshape(d, d * d)
-    cols = np.flatnonzero(flat.any(axis=0))
-    col_r, col_m = np.divmod(cols, d)
-    # the last bracket row reaching each l: row r0 onwards reaches l iff last[l] >= r0
-    pairs = c[x, y]
-    reached = pairs != 0
-    last = x.size - 1 - reached[::-1].argmax(axis=0)
-    last[~reached.any(axis=0)] = -1
-    row_start = np.searchsorted(x, np.arange(d + 1)).tolist()
-    col_start = np.searchsorted(col_r, np.arange(d + 1)).tolist()
-    # rows and columns of T; an absent one maps past the end of every slab
-    missing = d ** 4
-    row_of = np.full(d * d, missing)
-    row_of[x * d + y] = np.arange(x.size)
-    col_of = np.full(d * d, missing)
-    col_of[cols] = np.arange(cols.size)
-    ncols = cols.size
-
-    jacobi, a0 = 0.0, 0
-    while a0 < d:
-        # grow the block of smallest indices [a0, a1) while its slabs fit;
-        # P's columns start at p0, the first with r > a0
-        r0, c0, p0, a1 = row_start[a0], col_start[a0], col_start[a0 + 1], a0 + 1
-        pcols = ncols - p0
-        while a1 < d and ((row_start[a1 + 1] - r0) * pcols
-                          + (x.size - r0) * (col_start[a1 + 1] - c0)) <= _BLOCK:
-            a1 += 1
-        r1, c1 = row_start[a1], col_start[a1]
-        nq = c1 - c0
-        p = _product(pairs[r0:r1], right, np.flatnonzero(reached[r0:r1].any(axis=0)),
-                     cols[p0:])
-        reach = np.flatnonzero(flat[:, cols[c0:c1]].any(axis=1) & (last >= r0))
-        q = _product(pairs[r0:], right, reach, cols[c0:c1])
-
-        def in_p(a, s, r, m):  # T(a,s,r,m) for a in the block and r > a
-            return p.take((row_of[a * d + s] - r0) * pcols + col_of[r * d + m] - p0,
-                          mode="clip")
-
-        # nonzeros of P: T(a,s,r,m) with a < r != s, the triple a < min(s,r) < max(s,r)
-        for idx in _nonzeros(p):
-            i, j = np.divmod(idx, pcols)
-            a, s, r, m = x[r0 + i], y[r0 + i], col_r[p0 + j], col_m[p0 + j]
-            keep = (r > a) & (r != s)
-            idx, a, s, r, m = idx[keep], a[keep], s[keep], r[keep], m[keep]
-            jac = p[idx] - in_p(a, r, s, m)
-            np.negative(jac, out=jac, where=s > r)
-            lo, hi = np.minimum(s, r), np.maximum(s, r)
-            jac += q.take((row_of[lo * d + hi] - r0) * nq + col_of[a * d + m] - c0, mode="clip")
-            jacobi = max(jacobi, float(np.abs(jac).max(initial=0.0)))
-
-        # nonzeros of Q: T(b,e,a,m) with a < b < e
-        for idx in _nonzeros(q):
-            i, j = np.divmod(idx, nq)
-            b, e, a, m = x[r0 + i], y[r0 + i], col_r[c0 + j], col_m[c0 + j]
-            keep = b > a
-            idx, b, e, a, m = idx[keep], b[keep], e[keep], a[keep], m[keep]
-            jac = in_p(a, b, e, m) + q[idx] - in_p(a, e, b, m)
-            jacobi = max(jacobi, float(np.abs(jac).max(initial=0.0)))
-        a0 = a1
+    i, j, k = np.nonzero(c)
+    upper = i < j
+    bracket, reach = i[upper] * d + j[upper], k[upper]  # bracket x < y reaches l
+    into = np.zeros((d, d), dtype=bool)  # into[l, m]: c[l, z, m] != 0 for some z
+    into[i, k] = True
+    cols = np.zeros((d, d), dtype=bool)  # cols[z, m]: c[l, z, m] != 0 for some l
+    cols[j, k] = True
+    flat = c.reshape(d * d, d)
+    # row and column of K_m; -1 reads its trailing zero row or column
+    row_of, col_of = np.full(d * d, -1), np.full(d, -1)
+    jacobi = 0.0
+    for m in np.flatnonzero(into.any(axis=0)):
+        ls, zs = np.flatnonzero(into[:, m]), np.flatnonzero(cols[:, m])
+        hit = np.zeros(d * d, dtype=bool)
+        hit[bracket[into[reach, m]]] = True
+        rows = np.flatnonzero(hit)
+        km = np.zeros((rows.size + 1, zs.size + 1))
+        np.matmul(flat[rows[:, None], ls], c[ls[:, None], zs, m], out=km[:-1, :-1])
+        row_of[rows], col_of[zs] = np.arange(rows.size), np.arange(zs.size)
+        r, s = np.divmod(np.flatnonzero(km), zs.size + 1)
+        (p, q), z = np.divmod(rows[r], d), zs[s]
+        a, e = np.minimum(p, z), np.maximum(q, z)
+        b = p + q + z - a - e
+        jac = (km[row_of[a * d + b], col_of[e]] - km[row_of[a * d + e], col_of[b]]
+               + km[row_of[b * d + e], col_of[a]])
+        jacobi = max(jacobi, float(np.abs(jac).max(initial=0.0)))
+        row_of[rows], col_of[zs] = -1, -1
     return jacobi
 
 

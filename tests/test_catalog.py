@@ -178,6 +178,19 @@ def test_lie_group_ids():
         build_space("lie-group(f4)")
 
 
+def test_oversized_ambient_algebra_is_refused_from_its_id():
+    # 8 dim^3 bytes of dense structure constants against the 1 GiB budget:
+    # so(31), sp(15) and u(22) fit, so(33), sp(16) and u(23) do not
+    for sid in ["flag-D(12,8)", "flag-B(15,2)", "flag-C(15,2)", "lie-group(u22)"]:
+        assert parse_id(sid).id == sid
+    for sid in ["flag-D(20,13)", "flag-B(16,2)", "flag-C(16,2)", "lie-group(u23)",
+                "lie-group(U40)"]:
+        with pytest.raises(CatalogError, match="structure tensor.*GiB"):
+            parse_id(sid)
+        with pytest.raises(CatalogError, match="structure tensor.*GiB"):
+            build_space(sid)
+
+
 def test_known_ids_resolve():
     assert {"flag-B(5,4)", "flag-C(5,3)", "flag-D(6,4)"} <= set(catalog.known_ids())
     for sid in catalog.known_ids():

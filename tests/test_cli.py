@@ -5,6 +5,8 @@ import json
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -198,16 +200,34 @@ def test_torsion_skew_residual_is_not_judged(capsys):
 
 
 def test_oversized_homdim_exits_2(capsys, monkeypatch):
-    # flag-C(5,3) needs 86 MiB: over a 64 MiB budget, and refused before the solve
+    # the r x r stage of flag-C(5,3) needs 9.3 MiB: over an 8 MiB budget, and
+    # refused before the solve
     def forbidden(*args, **kwargs):
         raise AssertionError("Gram matrix built")
 
-    monkeypatch.setattr(equivariant, "SOLVE_BUDGET_BYTES", 1 << 26)
+    monkeypatch.setattr(equivariant, "SOLVE_BUDGET_BYTES", 1 << 23)
     monkeypatch.setattr(equivariant, "_reduced_gram", forbidden)
     code, out, err = run_cli(capsys, "homdim", "--space", "flag-C(5,3)")
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "GiB" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["check", "--space", "flag-D(20,13)"],
+                                  ["space", "build", "lie-group(u40)"]])
+def test_oversized_algebra_exits_2_before_it_allocates(capsys, argv):
+    # so(40) and u(40): dense structure tensors of 3.5 and 30.5 GiB
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        wall = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "GiB" in err
+    assert wall < 1.0 and peak < 100e6
 
 
 @pytest.mark.parametrize("exc, want", [
@@ -327,14 +347,14 @@ def test_cold_flag_build_does_not_load_scipy():
 
 
 # Every catalog id that builds in well under a second, invalid and malformed
-# ids, and every parser value class.  Oversized ids such as flag-D(20,13)
-# or lie-group(u40) stay out until a size account refuses them before they
-# allocate: today they just try.
+# ids, oversized ids that are refused before they allocate, and every parser
+# value class.
 FUZZ_IDS = catalog.known_ids() + [
     "flag-B(2,2)", "flag-C(2,1)", "flag-C(3,1)", "flag-B(2,9)", "flag-D(3,1)", "flag-B(0,0)",
     "lie-group(su2)", "lie-group(so3)", "lie-group(u1)", "lie-group(u2)", "lie-group(u0)",
     "lie-group(bad)", "", " cp3 ", "CP3", "flag-B(2,)", "flag-X(2,2)", "flag-B(02,2)",
     "lie-group()", "lie-group(u)", "lie-group(su2", "sphere-s5", "flag-B(2,2)x",
+    "flag-D(20,13)", "lie-group(u40)",
 ]
 FUZZ_VALUES = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "1e-300", "1e300", "5e-324",

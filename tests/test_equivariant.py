@@ -106,18 +106,43 @@ def test_oversized_solve_is_refused_before_building(sphere_s7, monkeypatch):
     # (0, a, -a) and 12 of the two root triangles
     vecs, codes = _zero_weight(sphere_s7, 0)
     assert codes.size == 31 and np.abs(vecs.conj().T @ vecs - np.eye(7)).max() < 1e-14
-    assert solve_bytes(sphere_s7) == (16 * (8 * 31**2 + 2 * 14 * 7**2 + 4 * 7**3)
-                                      + 8 * 31 * 7**3) < SOLVE_BUDGET_BYTES
-    # flag-C(5,3) needs 86 MiB: refused from its size alone under a 64 MiB budget
+    stage = 16 * (8 * 31**2 + 2 * 14 * 7**2 + 4 * 7**3)
+    assert solve_bytes(sphere_s7, 31) == stage
+    assert solve_bytes(sphere_s7, 31, 1) == stage + 8 * 7**3 < SOLVE_BUDGET_BYTES
+    # the r x r stage of flag-C(5,3) needs 9.3 MiB: refused under an 8 MiB
+    # budget from its size alone
 
     def forbidden(*args, **kwargs):
         raise AssertionError("Gram matrix built")
 
     monkeypatch.setattr(equivariant, "_reduced_gram", forbidden)
-    monkeypatch.setattr(equivariant, "SOLVE_BUDGET_BYTES", 1 << 26)
+    monkeypatch.setattr(equivariant, "SOLVE_BUDGET_BYTES", 1 << 23)
     space = catalog.build_space("flag-C(5,3)")
     with pytest.raises(SolveTooLargeError, match="flag-C.*GiB"):
         hom_dimension(space)
+
+
+def test_oversized_basis_is_refused_before_mapping(monkeypatch):
+    # flag-C(5,3): the r x r stage needs 9.3 MiB and its d = 6 maps 2.1 MiB
+    # more, so a 10 MiB budget admits the solve and refuses the basis
+    def forbidden(*args, **kwargs):
+        raise AssertionError("basis mapped back")
+
+    monkeypatch.setattr(equivariant, "_real_maps", forbidden)
+    monkeypatch.setattr(equivariant, "SOLVE_BUDGET_BYTES", 10 << 20)
+    space = catalog.build_space("flag-C(5,3)")
+    assert solve_bytes(space, 216) < 10 << 20 < solve_bytes(space, 216, 6)
+    with pytest.raises(SolveTooLargeError, match="flag-C.*GiB"):
+        hom_dimension(space)
+
+
+def test_flag_b54_is_answered_on_a_small_budget(monkeypatch):
+    # the basis is sized by d = 6, not by d <= r = 216 (86 MiB)
+    monkeypatch.setattr(equivariant, "SOLVE_BUDGET_BYTES", 32 << 20)
+    space = catalog.build_space("flag-B(5,4)")
+    res = hom_dimension(space)
+    assert (res.dimension, res.skew_dim, res.sym_dim) == (6, 4, 2)
+    assert certify_bracket_span(res, space)["ok"]
 
 
 def subspace_rank(vectors: np.ndarray) -> int:
@@ -167,7 +192,7 @@ def test_matrix_free_action_matches_operator(space_id):
     rng = np.random.default_rng(7)
     for _ in range(3):
         eta = rng.standard_normal((n, n, n))
-        applied = _apply_equivariance(space, eta)
+        applied = _apply_equivariance(space.adk, eta)
         assert applied.shape == (space.dim_k, n, n, n)
         ref = system @ eta.reshape(-1)
         assert np.abs(applied.reshape(-1) - ref).max() < 1e-12 * max(1.0, np.abs(ref).max())
@@ -227,7 +252,8 @@ def flag_b32_solve():
 
 def test_flag_b32_is_answered(flag_b32_solve):
     space, res, _ = flag_b32_solve
-    assert space.dim_m == 14 and solve_bytes(space) < SOLVE_BUDGET_BYTES
+    r = _zero_weight(space, 0)[1].size
+    assert space.dim_m == 14 and solve_bytes(space, r, res.dimension) < SOLVE_BUDGET_BYTES
     assert res.dimension == 6
     assert res.skew_dim + res.sym_dim == 6
     assert res.gap >= 1e3
@@ -236,8 +262,8 @@ def test_flag_b32_is_answered(flag_b32_solve):
 
 
 def test_flag_b32_solve_stays_within_its_budget(flag_b32_solve):
-    space, _, peak = flag_b32_solve
-    assert peak <= solve_bytes(space)
+    space, res, peak = flag_b32_solve
+    assert peak <= solve_bytes(space, _zero_weight(space, 0)[1].size, res.dimension)
     # no n^6-sized array: the solve works on the r zero-weight triples
     assert peak < 1.6 * 8 * space.dim_m**6
 
@@ -255,13 +281,27 @@ def test_catalog_flags_are_answered(space_id):
     assert group_spot_check(res, space, samples=10, seed=0) < 1e-9
 
 
+def test_bracket_certificate_takes_one_generator_at_a_time():
+    # the whole (dim k, n, n, n) defect of flag-D(6,4), formed three times,
+    # peaked at 68 maps of n^3 doubles
+    space = catalog.build_space("flag-D(6,4)")
+    res = hom_dimension(space)
+    tracemalloc.start()
+    try:
+        assert certify_bracket_span(res, space)["ok"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * space.dim_m**3
+
+
 def test_flag_d64_solve_stays_within_its_budget():
     space = catalog.build_space("flag-D(6,4)")
     tracemalloc.start()
     try:
-        hom_dimension(space)
+        res = hom_dimension(space)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= solve_bytes(space)
+    assert peak <= solve_bytes(space, _zero_weight(space, 0)[1].size, res.dimension)
     assert peak < 32 * 2**20

@@ -203,8 +203,8 @@ def test_results_do_not_depend_on_the_block_budget(key, monkeypatch):
     skewed = LieAlgebra(name="skewed", basis=alg.basis, structure=skewed, killing=alg.killing)
     expected = [alg.structure, alg.validate(), bent.validate(), skewed.validate()]
     assert not expected[3]["ok"]
-    # one commutator per block in from_basis, one smallest index a per Jacobi
-    # block, whose nonzeros are read in many parts
+    # one commutator per block in from_basis and one first index per
+    # antisymmetry and Killing block; the Jacobi check takes no block budget
     monkeypatch.setattr(liealg, "_BLOCK", 64)
     small = liealg.from_basis(alg.name, alg.basis)
     assert np.abs(small.structure - expected[0]).max() <= 1e-14
@@ -246,6 +246,13 @@ def test_so14_validate_stays_within_its_budget():
     # the stored Jacobi product peaked at 20.5 MiB
     so14 = build_so(14)
     assert traced_peak(so14.validate) < 20.5 * 2**20 / 2
+
+
+def test_so18_validate_stays_within_its_budget():
+    # the Jacobi slabs peaked at 10.9 MiB; one product K_m at a time is
+    # about 1 MiB
+    so18 = build_so(18)
+    assert traced_peak(so18.validate) < 10.9 * 2**20 / 4
 
 
 def test_dense_jacobi_check_stays_within_its_budget():
