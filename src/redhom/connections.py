@@ -1,10 +1,10 @@
 """Invariant connections via their Nomizu maps.
 
 A NomizuMap stores the coefficients L[a,b,c] of Lambda(E_a)E_b over the
-metric-orthonormal frame of its space.  Builders cover the canonical
-one-parameter family, the two-summand Levi-Civita family and its
-s-rescaling, bi-invariant per-ideal families, and the exotic bilinear
-maps on u(n).
+metric-orthonormal frame of its space, on its summand-triple blocks.
+Builders cover the canonical one-parameter family, the two-summand
+Levi-Civita family and its s-rescaling, bi-invariant per-ideal families,
+and the exotic bilinear maps on u(n).
 """
 
 from __future__ import annotations
@@ -25,14 +25,15 @@ from .liealg import (
     u_complex_basis,
 )
 from .reductive import (
+    Blocks,
     MetricSpec,
     ReductiveSpace,
     check_inclusions,
+    combine,
     frame_bracket,
     frame_k_tables,
     lie_group_space,
     rescale_factors,
-    scale_blocks,
     summand_sigma,
 )
 from .tolerances import TOL
@@ -46,54 +47,54 @@ class ConnectionError_(ValueError):
 class NomizuMap:
     """Coefficients of an invariant connection over a metric frame.
 
-    The coefficients are read-only, so the tables cached on the map cannot
-    go stale; a writeable or borrowed array is copied first.
+    The map is held on its summand-triple ``blocks``: the builders keep
+    the blocks of the space's ``bm_blocks``, and a dense (M, M, M) array
+    passed in their place keeps all of them.  ``coeffs`` is the dense view,
+    Lambda(E_a)E_b = sum_c coeffs[a,b,c] E_c, built on first read.  The
+    blocks are read-only copies, so the tables cached on the map cannot go
+    stale.
     """
 
     space: ReductiveSpace
     metric: MetricSpec
-    coeffs: np.ndarray           # (M, M, M): Lambda(E_a)E_b = sum_c coeffs[a,b,c] E_c
+    blocks: Blocks
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.flags.writeable or not coeffs.flags.owndata:
-            coeffs = _read_only(coeffs.copy())
-        object.__setattr__(self, "coeffs", coeffs)
+        if not isinstance(self.blocks, Blocks):
+            object.__setattr__(self, "blocks",
+                               Blocks.split(self.space.summand_dims, self.blocks))
 
     @property
     def dim(self) -> int:
-        return self.coeffs.shape[0]
+        return self.blocks.size
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        return self.blocks.dense
 
     @cached_property
-    def frame_bracket(self) -> np.ndarray:
-        """bm_f of ``frame_bracket(space, metric)``, once per map, read-only."""
-        return _read_only(frame_bracket(self.space, self.metric))
-
-    @cached_property
-    def swapped_coeffs(self) -> np.ndarray:
-        """One contiguous read-only copy of L[b,a,c], shared by the torsion
-        and the co-differential, whose contractions read it as a matrix."""
-        return _read_only(np.ascontiguousarray(self.coeffs.transpose(1, 0, 2)))
+    def frame_bracket(self) -> Blocks:
+        """bm_f of ``frame_bracket(space, metric)``, once per map."""
+        return frame_bracket(self.space, self.metric)
 
     @cached_property
     def frame_tables(self) -> tuple:
         """``frame_tables(space, metric)`` once per map, read-only; bm_f is
-        ``frame_bracket``."""
+        the dense view of ``frame_bracket``."""
         k_tables = (_read_only(t) for t in frame_k_tables(self.space, self.metric))
-        return (self.frame_bracket, *k_tables)
+        return (self.frame_bracket.dense, *k_tables)
 
     @cached_property
-    def torsion_table(self) -> np.ndarray:
-        """T[a,b,c] = L[a,b,c] - L[b,a,c] - bm_f[a,b,c], once per map, read-only."""
-        table = self.coeffs - self.swapped_coeffs
-        table -= self.frame_bracket
-        return _read_only(table)
+    def torsion_blocks(self) -> Blocks:
+        """T[a,b,c] = L[a,b,c] - L[b,a,c] - bm_f[a,b,c] on the union of the
+        blocks of L, its swap and bm_f, once per map."""
+        return combine([(1, self.blocks, (0, 1, 2)), (-1, self.blocks, (1, 0, 2)),
+                        (-1, self.frame_bracket, (0, 1, 2))])
 
     def rescaled(self, metric: MetricSpec) -> "NomizuMap":
         """Same map expressed in the frame of another metric."""
         r = summand_sigma(self.space, metric) / summand_sigma(self.space, self.metric)
-        coeffs = scale_blocks(self.space, self.coeffs, rescale_factors(r))
-        return NomizuMap(self.space, metric, _read_only(coeffs))
+        return NomizuMap(self.space, metric, self.blocks.scaled(rescale_factors(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +108,8 @@ def nomizu_alpha(space: ReductiveSpace, alpha: float) -> NomizuMap:
     Levi-Civita connection of the naturally reductive metric.
     """
     metric = MetricSpec.killing(space.nsummands)
-    coeffs = _read_only(0.5 * (1.0 - alpha) * space.bm)
-    return NomizuMap(space, metric, coeffs)
+    factors = np.full((space.nsummands,) * 3, 0.5 * (1.0 - alpha))
+    return NomizuMap(space, metric, space.bm_blocks.scaled(factors))
 
 
 def _nomizu_gt(space: ReductiveSpace, s: float, t: float) -> NomizuMap:
@@ -116,8 +117,9 @@ def _nomizu_gt(space: ReductiveSpace, s: float, t: float) -> NomizuMap:
 
     Over the ip-orthonormal basis the map is blockwise a multiple of the
     m-bracket: (1/2)[X, X']_{m2}, t[X, Y] and (1 - t)[Y, X] for X, X' in
-    m1 and Y in m2, and zero on m2 x m2.  Each block is written once, with
-    s and the frame rescaling folded into its scalar.
+    m1 and Y in m2, and zero on m2 x m2.  Each block of ``bm_blocks`` is
+    scaled once, with s and the frame rescaling folded into its scalar; the
+    inclusions checked here leave no other block of bm nonzero.
     """
     if len(space.summands) != 2:
         raise ConnectionError_("the g_t family needs exactly two summands")
@@ -130,8 +132,7 @@ def _nomizu_gt(space: ReductiveSpace, s: float, t: float) -> NomizuMap:
     weights[0, 1, :] = t
     weights[1, 0, :] = 1.0 - t
     factors = s * weights * rescale_factors(summand_sigma(space, metric))
-    coeffs = _read_only(scale_blocks(space, space.bm, factors))
-    return NomizuMap(space, metric, coeffs)
+    return NomizuMap(space, metric, space.bm_blocks.scaled(factors))
 
 
 def nomizu_levi_civita_gt(space: ReductiveSpace, t: float) -> NomizuMap:
@@ -181,7 +182,7 @@ def biinvariant_family(space: ReductiveSpace, ideals, alphas) -> NomizuMap:
 
 def _ideal_leak(alg: LieAlgebra, basis: np.ndarray) -> float:
     """Residual of [g, ideal] outside the ideal span."""
-    brs = alg.brackets(np.eye(alg.dim), basis).reshape(-1, alg.dim)
+    brs = alg.brackets(basis, np.eye(alg.dim)).reshape(-1, alg.dim)
     proj = (brs @ basis.T) @ basis
     return float(np.abs(brs - proj).max()) if brs.size else 0.0
 
@@ -241,7 +242,7 @@ def derivation_defect(nm: NomizuMap) -> np.ndarray:
     """Leibniz defect D(Z,X,Y) of the map against the m-bracket (k = 0 spaces)."""
     if nm.space.dim_k != 0:
         raise ConnectionError_("derivation checks are for Lie group spaces")
-    return derivation_action(nm.coeffs, nm.frame_bracket)
+    return derivation_action(nm.coeffs, nm.frame_bracket.dense)
 
 
 def is_derivation(nm: NomizuMap) -> tuple[bool, float]:

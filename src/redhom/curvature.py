@@ -13,10 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .reductive import (
+    Blocks,
     MetricSpec,
     ReductiveSpace,
     ReductiveError,
     casimir,
+    combine,
+    contract,
     frame_sigma,
     summand_sigma,
 )
@@ -33,22 +36,30 @@ from .tolerances import TOL
 
 @dataclass
 class Tensor3:
-    """Torsion 3-tensor components T[a,b,c] = g(T(E_a,E_b), E_c)."""
+    """Torsion 3-tensor T[a,b,c] = g(T(E_a,E_b), E_c), held on its summand
+    blocks; ``components`` is the dense view, built on first read."""
 
-    components: np.ndarray
+    blocks: Blocks
+
+    @property
+    def components(self) -> np.ndarray:
+        return self.blocks.dense
 
     def skew_residual(self) -> float:
         """Departure from total skewness (symmetric part in the last two slots)."""
-        t = self.components
-        sym = t + t.transpose(0, 2, 1)
-        return float(np.abs(sym, out=sym).max())
+        parts, worst = self.blocks.parts, 0.0
+        for (a, b, c), block in parts.items():
+            partner = parts.get((a, c, b))
+            sym = block if partner is None else block + partner.transpose(0, 2, 1)
+            worst = max(worst, float(np.abs(sym).max()))
+        return worst
 
     def is_totally_skew(self, tol: float = TOL.torsion_skew) -> bool:
         return self.skew_residual() < tol
 
     def norm_squared(self) -> float:
         """Normalized ||T||^2 = (1/6) sum_ij |T(E_i, E_j)|^2."""
-        return float(np.einsum("ijc,ijc->", self.components, self.components) / 6.0)
+        return sum(float(np.vdot(block, block)) for block in self.blocks.parts.values()) / 6.0
 
 
 @dataclass
@@ -78,7 +89,7 @@ class Tensor2:
 
 def torsion(nm: NomizuMap) -> Tensor3:
     """T(X,Y) = Lambda(X)Y - Lambda(Y)X - [X,Y]_m over the frame (read-only)."""
-    return Tensor3(nm.torsion_table)
+    return Tensor3(nm.torsion_blocks)
 
 
 def curvature(nm: NomizuMap) -> Tensor31:
@@ -123,19 +134,16 @@ def ricci_oracle(nm: NomizuMap) -> Tensor2:
     the trace index contracted before any m^4 tensor is formed:
     Ric = Lambda.u - <Lambda + bm_f,Lambda> - <bk_f,adk_f>, where
     u_j = sum_i Lambda[i,j,i] and <A,B>[x,y] = sum_{i,j} A[x,i,j] B[j,y,i].
-    It reads the map's coefficients, its ``frame_bracket`` bm_f, and the
-    space's ``isotropy_pairs`` for <bk_f,adk_f>, a table built from ``bk``
-    and ``adk`` alone; never the Casimir data or the bracket sums w of the
+    Every term is contracted on the stored blocks of the map (``contract``).
+    It reads the map, its ``frame_bracket`` bm_f, and the space's
+    ``isotropy_pairs`` for <bk_f,adk_f>, a table built from ``bk`` and
+    ``adk`` alone; never the Casimir data or the bracket sums w of the
     closed forms.
     """
-    L = nm.coeffs                                # Lambda[a,i,j] = L[a,j,i]
-    m = nm.dim
-    u = np.einsum("iij->j", L)
-    # <Lambda + bm_f,Lambda>[x,y] = sum_{i,j} (L[x,i,j] + bm_f[x,j,i]) L[i,j,y]:
-    # one GEMM of the summed (x, (i,j)) rows against L as stored
-    left = L + nm.frame_bracket.transpose(0, 2, 1)
-    ric = u @ L
-    ric -= left.reshape(m, -1) @ L.reshape(-1, m)
+    L = nm.blocks                                # Lambda[a,i,j] = L[a,j,i]
+    ric = L.along(L.trace(), 1)
+    # <Lambda + bm_f,Lambda>[x,y] = sum_{i,j} (L[x,i,j] + bm_f[x,j,i]) L[i,j,y]
+    ric -= contract(combine([(1, L, (0, 1, 2)), (1, nm.frame_bracket, (0, 2, 1))]), L)
     if nm.space.dim_k:
         ric -= _isotropy_term(nm.space, nm.metric)
     return Tensor2(ric, scalar=float(np.trace(ric)))
@@ -154,23 +162,18 @@ def codifferential(nm: NomizuMap) -> Tensor2:
     """Co-differential of the torsion: (delta T)(X,Y) = -sum_i (nabla_{E_i}T)(E_i,X,Y).
 
     The trace of ``nabla_torsion`` is contracted before any m^4 tensor is
-    formed: delta T = <v,T> + <L,T> - <T,L> with L = ``nm.coeffs``,
+    formed: delta T = <v,T> + <L,T> - <T,L> with L the map,
     v_c = sum_i L[i,i,c], <v,T>[x,y] = sum_c v_c T[c,x,y] and
-    <A,B>[x,y] = sum_{i,c} A[i,x,c] B[i,c,y].  Each pairing is one GEMM
-    of A[i,x,c] read as (x, (i,c)) rows against B as stored; for A = L
-    those rows are the map's ``swapped_coeffs``.  T[b,a,c] = -T[a,b,c]
-    holds bit for bit (``ReductiveSpace.bm`` is exactly antisymmetric and
-    the frame factors are symmetric in a, b), so the rows of <T,L> are
-    -T as stored and no transposed copy is made.
+    <A,B>[x,y] = sum_{i,c} A[i,x,c] B[i,c,y], each on the stored blocks
+    (``contract``).  For A = L the rows are a transient swapped copy of
+    L's blocks.  T[b,a,c] = -T[a,b,c] holds bit for bit
+    (``ReductiveSpace.bm`` is exactly antisymmetric and the frame factors
+    are symmetric in a, b), so -<T,L> is contracted from T as stored.
     """
-    t3 = nm.torsion_table
-    L = nm.coeffs
-    m = nm.dim
-    v = np.einsum("iic->c", L)
-    t_rows = t3.reshape(m, -1)
-    dt = (v @ t_rows).reshape(m, m)
-    dt += nm.swapped_coeffs.reshape(m, -1) @ t3.reshape(-1, m)
-    dt += t_rows @ L.reshape(-1, m)
+    t3, L = nm.torsion_blocks, nm.blocks
+    dt = t3.along(L.trace(), 0)
+    dt += contract(combine([(1, L, (1, 0, 2))]), t3)
+    dt += contract(t3, L)
     return Tensor2(dt)
 
 
@@ -190,7 +193,7 @@ def verify_stary(nm: NomizuMap) -> float:
             f"the identity presumes Lambda(X)X = 0 (violated by {res:.3e})"
         )
     # Lambda(Y)([Z,X] - Lambda(Z)X) components [z,x,y,d]
-    lam_term = np.tensordot(nm.frame_bracket - nm.coeffs, nm.coeffs, (2, 1))
+    lam_term = np.tensordot(nm.frame_bracket.dense - nm.coeffs, nm.coeffs, (2, 1))
     rhs = curvature(nm).components - lam_term
     rhs *= 2.0
     return float(np.abs(nabla_torsion(nm) - rhs).max())

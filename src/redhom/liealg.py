@@ -59,8 +59,12 @@ def nullspace(a, rtol: float = TOL.nullspace_rtol):
 class LieAlgebra:
     """A finite-dimensional Lie algebra of real square matrices.
 
-    ``basis`` has shape (dim, N, N); ``structure[i, j, k]`` are the
-    coefficients of [Z_i, Z_j] in the basis; ``killing[i, j]`` is
+    ``basis`` has shape (dim, N, N).  The structure constants are stored
+    as coordinates: column n of ``structure_ijk`` is an index triple
+    (i, j, k) and ``structure_c[n]`` the coefficient of Z_k in
+    [Z_i, Z_j].  Every nonzero constant is stored, once, so each bracket
+    appears in both orders (i, j) and (j, i); no dim^3 array is formed.
+    ``killing[i, j]`` is
     tr(ad Z_i ad Z_j).  Instances are immutable: the dataclass is frozen
     and the arrays are read-only, so a write raises ``ValueError`` instead
     of corrupting a cached algebra; a writeable or borrowed array is
@@ -69,15 +73,20 @@ class LieAlgebra:
 
     name: str
     basis: np.ndarray
-    structure: np.ndarray
+    structure_ijk: np.ndarray    # (3, nnz) indices of the nonzero constants
+    structure_c: np.ndarray      # (nnz,) their values
     killing: np.ndarray
 
     def __post_init__(self):
-        for attr in ("basis", "structure", "killing"):
-            array = np.asarray(getattr(self, attr), dtype=float)
+        for attr, dtype in (("basis", float), ("structure_ijk", np.intp),
+                            ("structure_c", float), ("killing", float)):
+            array = np.asarray(getattr(self, attr), dtype=dtype)
             if array.flags.writeable or not array.flags.owndata:
                 array = _read_only(array.copy())
             object.__setattr__(self, attr, array)
+        if self.structure_ijk.shape != (3, self.structure_c.size):
+            raise LieAlgebraError(f"structure indices of shape {self.structure_ijk.shape} "
+                                  f"for {self.structure_c.size} constants")
 
     @property
     def dim(self) -> int:
@@ -91,6 +100,23 @@ class LieAlgebra:
     def _basis_pinv(self):
         flat = self.basis.reshape(self.dim, -1)
         return np.linalg.pinv(flat)
+
+    @cached_property
+    def _first_slot_groups(self) -> tuple:
+        """(i, c, cols, layers): the constants ordered by j * dim + k, the
+        distinct values ``cols`` of j * dim + k, and per rank r the pair
+        (n, g) of ``layers[r]``: the positions n of the r-th constant of
+        each column g that has one."""
+        i, j, k = self.structure_ijk
+        key = j * self.dim + k
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.r_[True, key[1:] != key[:-1]] if key.size else np.zeros(0, dtype=bool)
+        group = np.cumsum(first) - 1
+        rank = np.arange(key.size) - np.flatnonzero(first)[group]
+        layers = [(np.flatnonzero(rank == r), group[rank == r])
+                  for r in range(rank.max(initial=-1) + 1)]
+        return i[order], self.structure_c[order], key[first], layers
 
     def matrix(self, coeffs) -> np.ndarray:
         """Matrix realization of a coefficient vector."""
@@ -116,39 +142,70 @@ class LieAlgebra:
             raise LieAlgebraError(
                 f"expected coefficient vectors of length {self.dim}"
             )
-        return np.einsum("ijk,i,j->k", self.structure, x, y)
+        i, j, k = self.structure_ijk
+        return np.bincount(k, weights=self.structure_c * x[i] * y[j], minlength=self.dim)
 
     def brackets(self, a, b) -> np.ndarray:
         """Coefficient vectors of [A_i, B_j] for coefficient rows of A and B.
 
         Shape (len(A), len(B), dim).  Fixed contraction order: A against the
-        first structure slot (tensordot), then B against the second (batched
-        matmul).  ``@ (ip.gram @ C.T)`` reads it off in an ip-orthonormal basis C.
+        first structure slot, G[p, j, k] = sum_i A[p, i] c[i, j, k], summed
+        in order over the constants that share (j, k); then B against the
+        second (batched matmul).  ``@ (ip.gram @ C.T)`` reads it off in an
+        ip-orthonormal basis C.
         """
-        return np.asarray(b, dtype=float) @ np.tensordot(
-            np.asarray(a, dtype=float), self.structure, (1, 0))
+        a = np.asarray(a, dtype=float)
+        i, c, cols, layers = self._first_slot_groups
+        terms = np.ascontiguousarray(a.T)[i] * c[:, None]    # c[i,j,k] A[p,i] by constant
+        g = np.zeros((a.shape[0], self.dim * self.dim))
+        if layers:
+            # each column's constants summed in order, one rank at a time
+            rows = terms[layers[0][0]]
+            for pos, col in layers[1:]:
+                rows[col] += terms[pos]
+            g[:, cols] = rows.T
+        return np.asarray(b, dtype=float) @ g.reshape(-1, self.dim, self.dim)
 
     def ad(self, x) -> np.ndarray:
         """Matrix of ad(X) acting on coefficient vectors."""
-        return np.einsum("i,ijk->kj", np.asarray(x, dtype=float), self.structure)
+        i, j, k = self.structure_ijk
+        weights = np.asarray(x, dtype=float)[i] * self.structure_c
+        return np.bincount(k * self.dim + j, weights=weights,
+                           minlength=self.dim ** 2).reshape(self.dim, self.dim)
 
     def validate(self, tol: float = TOL.valid) -> dict:
         """Residuals of antisymmetry, Jacobi and ad-invariance of the Killing form.
 
-        Antisymmetry and ad-invariance are taken over blocks of the first
-        index of at most ``_BLOCK`` entries.  Jacobi, which holds exactly when
-        ad is a representation, is taken one output index at a time over the
-        nonzero brackets; see ``_jacobi_residual``.
+        Antisymmetry pairs every stored constant with its swapped partner.
+        Ad-invariance takes (C_i K) + (C_i K)^T over blocks of the first
+        index of at most ``_BLOCK`` entries, with the product formed on the
+        rows (i, j) that hold a constant.  Jacobi, which holds exactly when
+        ad is a representation, is taken one output index at a time over
+        the nonzero brackets; see ``_jacobi_residual``.
         """
-        c, k = self.structure, self.killing
-        antisym = ad_inv = 0.0
-        step = max(1, _BLOCK // max(self.dim, 1) ** 2)
-        for i in range(0, self.dim, step):
-            part = c[i:i + step]
-            antisym = max(antisym, np.abs(part + c[:, i:i + step].transpose(1, 0, 2)).max())
-            part = part @ k
+        (i, j, k), c, d = self.structure_ijk, self.structure_c, self.dim
+        # c[i,j,k] + c[j,i,k]: each constant is the first term at its own
+        # triple and the second at the swapped one; a triple gets one or two
+        keys = np.concatenate(((i * d + j) * d + k, (j * d + i) * d + k))
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]) if keys.size else keys
+        sums = np.add.reduceat(np.concatenate((c, c))[order], starts) if keys.size else keys
+        antisym = np.abs(sums).max(initial=0.0)
+        ad_inv = 0.0
+        step = max(1, _BLOCK // max(d, 1) ** 2)
+        for first in range(0, d, step):
+            at = (i >= first) & (i < first + step)
+            rows = min(step, d - first) * d         # rows (i, j) of this block
+            pair = (i[at] - first) * d + j[at]
+            held = np.zeros(rows, dtype=bool)
+            held[pair] = True
+            part = np.zeros((rows, d))
+            part[pair, k[at]] = c[at]
+            part[held] = part[held] @ self.killing
+            part = part.reshape(-1, d, d)
             ad_inv = max(ad_inv, np.abs(part + part.transpose(0, 2, 1)).max())
-        jacobi = _jacobi_residual(c)
+        jacobi = _jacobi_residual(self.structure_ijk, c, d)
         return {
             "antisymmetry": float(antisym),
             "jacobi": float(jacobi),
@@ -157,7 +214,7 @@ class LieAlgebra:
         }
 
 
-def _jacobi_residual(c: np.ndarray) -> float:
+def _jacobi_residual(ijk: np.ndarray, c: np.ndarray, d: int) -> float:
     """max |[[a,b],e] + [[b,e],a] + [[e,a],b]| over distinct a < b < e.
 
     One output index m at a time: with K_m[(x,y), z] = sum_l c[x,y,l] c[l,z,m]
@@ -167,33 +224,37 @@ def _jacobi_residual(c: np.ndarray) -> float:
     whole check, and J can be nonzero only where one of its three terms is.
     K_m is one dense product whose rows are the brackets x < y that reach
     an l with c[l,:,m] != 0 and whose columns are the z those l reach;
-    every other entry is 0, read from a trailing zero row and column.  Each
-    nonzero of K_m names a triple whose three terms are read back from K_m.
-    A repeated index (b = a or b = e) reads one entry twice, with opposite
+    both operands are scattered from the stored constants, and every other
+    entry is 0, read from a trailing zero row and column.  Each nonzero of
+    K_m names a triple whose three terms are read back from K_m.  A
+    repeated index (b = a or b = e) reads one entry twice, with opposite
     signs, and a row (x, x) that is no bracket, so it adds exactly 0.
-    Beside c's nonzero pattern the call holds one K_m and its operands, so
-    a sparse c costs little and a dense one O(d^3) at a time.
+    Beside the constants the call holds one K_m and its operands, so a
+    sparse c costs little and a dense one O(d^3) at a time.
     """
-    d = c.shape[0]
-    i, j, k = np.nonzero(c)
+    i, j, k = ijk
     upper = i < j
-    bracket, reach = i[upper] * d + j[upper], k[upper]  # bracket x < y reaches l
-    into = np.zeros((d, d), dtype=bool)  # into[l, m]: c[l, z, m] != 0 for some z
-    into[i, k] = True
-    cols = np.zeros((d, d), dtype=bool)  # cols[z, m]: c[l, z, m] != 0 for some l
-    cols[j, k] = True
-    flat = c.reshape(d * d, d)
-    # row and column of K_m; -1 reads its trailing zero row or column
-    row_of, col_of = np.full(d * d, -1), np.full(d, -1)
+    bracket, reach, value = i[upper] * d + j[upper], k[upper], c[upper]  # c[x,y,l], l = reach
+    # row and column of K_m and column of its left operand; -1 reads K_m's
+    # trailing zero row or column
+    row_of, col_of, l_of = np.full(d * d, -1), np.full(d, -1), np.full(d, -1)
     jacobi = 0.0
-    for m in np.flatnonzero(into.any(axis=0)):
-        ls, zs = np.flatnonzero(into[:, m]), np.flatnonzero(cols[:, m])
-        hit = np.zeros(d * d, dtype=bool)
-        hit[bracket[into[reach, m]]] = True
-        rows = np.flatnonzero(hit)
+    for m in np.flatnonzero(np.bincount(k, minlength=d)):
+        at = k == m                                  # c[l, z, m] with l = i[at], z = j[at]
+        ls = np.flatnonzero(np.bincount(i[at], minlength=d))
+        zs = np.flatnonzero(np.bincount(j[at], minlength=d))
+        l_of[ls], col_of[zs] = np.arange(ls.size), np.arange(zs.size)
+        right = np.zeros((ls.size, zs.size))
+        right[l_of[i[at]], col_of[j[at]]] = c[at]
+        hit = l_of[reach] >= 0                       # the brackets x < y that reach an l
+        held = np.zeros(d * d, dtype=bool)
+        held[bracket[hit]] = True
+        rows = np.flatnonzero(held)
+        row_of[rows] = np.arange(rows.size)
+        left = np.zeros((rows.size, ls.size))
+        left[row_of[bracket[hit]], l_of[reach[hit]]] = value[hit]
         km = np.zeros((rows.size + 1, zs.size + 1))
-        np.matmul(flat[rows[:, None], ls], c[ls[:, None], zs, m], out=km[:-1, :-1])
-        row_of[rows], col_of[zs] = np.arange(rows.size), np.arange(zs.size)
+        np.matmul(left, right, out=km[:-1, :-1])
         r, s = np.divmod(np.flatnonzero(km), zs.size + 1)
         (p, q), z = np.divmod(rows[r], d), zs[s]
         a, e = np.minimum(p, z), np.maximum(q, z)
@@ -201,8 +262,28 @@ def _jacobi_residual(c: np.ndarray) -> float:
         jac = (km[row_of[a * d + b], col_of[e]] - km[row_of[a * d + e], col_of[b]]
                + km[row_of[b * d + e], col_of[a]])
         jacobi = max(jacobi, float(np.abs(jac).max(initial=0.0)))
-        row_of[rows], col_of[zs] = -1, -1
+        row_of[rows], col_of[zs], l_of[ls] = -1, -1, -1
     return jacobi
+
+
+def _killing(ijk: np.ndarray, c: np.ndarray, d: int) -> np.ndarray:
+    """killing[a, b] = sum_{k,l} c[a,k,l] c[b,l,k] over the stored constants.
+
+    Each constant c[a,k,l] is paired with every c[b,l,k], found by a
+    sorted search of the keys (j, k) for its swapped (k, j).
+    """
+    i, j, k = ijk
+    order = np.argsort(j * d + k, kind="stable")
+    keys = (j * d + k)[order]
+    swapped = k * d + j
+    lo = np.searchsorted(keys, swapped, "left")
+    counts = np.searchsorted(keys, swapped, "right") - lo
+    first = np.repeat(np.arange(c.size), counts)
+    # position of each pair inside its run of matching keys
+    offset = np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    second = order[np.repeat(lo, counts) + offset]
+    return np.bincount(i[first] * d + i[second], weights=c[first] * c[second],
+                       minlength=d * d).reshape(d, d)
 
 
 def from_basis(name: str, mats) -> LieAlgebra:
@@ -215,9 +296,9 @@ def from_basis(name: str, mats) -> LieAlgebra:
     scale kept as running maxima, so the dim^2 N^2 commutator table is
     never stored.  [Z_j, Z_i] is the exact negative of [Z_i, Z_j] and
     [Z_i, Z_i] = 0, so their residuals are the ones already taken.  Small
-    constants are zeroed block by block and the Killing form is summed
-    over blocks of its columns, so no dim^3 temporary is formed, and the
-    algebra takes the arrays built here without copying them.
+    constants are zeroed block by block and only the others are kept, in
+    both orders, so no dim^3 array is formed; the Killing form is summed
+    over pairs of them (``_killing``).
     """
     mats = _read_only(np.array(mats, dtype=float))
     dim = mats.shape[0]
@@ -225,7 +306,8 @@ def from_basis(name: str, mats) -> LieAlgebra:
     if np.linalg.matrix_rank(flat, tol=TOL.independence) != dim:
         raise LieAlgebraError(f"basis of {name} is linearly dependent")
     pinv = np.linalg.pinv(flat)
-    structure = np.zeros((dim, dim, dim))
+    none = np.zeros(0, dtype=np.intp)
+    found = [(none, none, none, np.zeros(0))]    # (i, j, k, c) of the constants i < j
     closure, scale = 0.0, 1.0
     step = max(1, _BLOCK // flat.shape[1])
     for i in range(dim):
@@ -235,25 +317,18 @@ def from_basis(name: str, mats) -> LieAlgebra:
             coeffs = comm @ pinv
             closure = max(closure, np.abs(coeffs @ flat - comm).max())
             scale = max(scale, np.abs(comm).max())
-            coeffs[np.abs(coeffs) < TOL.structure_zero] = 0.0
-            structure[i, j:j + step] = coeffs
-            # 0 - x rather than -x: a zeroed constant stays +0.0
-            structure[j:j + step, i] = 0.0 - coeffs
+            rows, ks = np.nonzero(np.abs(coeffs) >= TOL.structure_zero)
+            found.append((np.full(rows.size, i), j + rows, ks, coeffs[rows, ks]))
     if closure > TOL.span * scale:
         raise LieAlgebraError(
             f"basis of {name} is not bracket-closed (residual {closure:.3e})"
         )
-    # killing[i, j] = sum_{k,l} c[i,k,l] c[j,l,k], a block of columns j at a
-    # time: at most _BLOCK entries, unless that takes more than four blocks,
-    # as each block reads the whole structure tensor
-    killing = np.empty((dim, dim))
-    rows = structure.reshape(dim, -1)
-    step = max(1, _BLOCK // max(dim, 1) ** 2, -(-dim // 4))
-    for j in range(0, dim, step):
-        cols = structure[j:j + step].transpose(2, 1, 0).reshape(dim * dim, -1)
-        np.matmul(rows, cols, out=killing[:, j:j + step])
-    alg = LieAlgebra(name=name, basis=mats, structure=_read_only(structure),
-                     killing=_read_only(killing))
+    i, j, k, c = (np.concatenate(col) for col in zip(*found))
+    # 0 - x rather than -x: the swapped constant is the exact negative
+    ijk = _read_only(np.concatenate(((i, j, k), (j, i, k)), axis=1))
+    c = _read_only(np.concatenate((c, 0.0 - c)))
+    alg = LieAlgebra(name=name, basis=mats, structure_ijk=ijk, structure_c=c,
+                     killing=_read_only(_killing(ijk, c, dim)))
     report = alg.validate()
     if not report["ok"]:
         raise LieAlgebraError(f"{name} failed validation: {report}")
@@ -482,7 +557,7 @@ def ideal_generated_by(a: LieAlgebra, v) -> np.ndarray:
     span = np.asarray(v, dtype=float).reshape(1, -1)
     span = span / np.linalg.norm(span)
     while True:
-        brs = a.brackets(np.eye(a.dim), span).reshape(-1, a.dim)
+        brs = a.brackets(span, np.eye(a.dim)).reshape(-1, a.dim)
         stacked = np.vstack([span, brs])
         _, s, vt = np.linalg.svd(stacked, full_matrices=False)
         rank = int((s > s[0] * TOL.ideal_rank).sum())
@@ -521,11 +596,14 @@ def negative_killing(a: LieAlgebra, center_weight: float | None = None) -> Inner
     basis vectors (which must be basis elements, as in ``build_u``).
     """
     gram = -a.killing.copy()
-    central = [
-        i for i in range(a.dim)
-        if max(np.abs(a.structure[i]).max(), np.abs(a.structure[:, i, :]).max()) < TOL.central
-    ]
-    if central and center_weight is None:
+    # largest constant with i as its first or second index
+    i, j, _ = a.structure_ijk
+    size = np.abs(a.structure_c)
+    largest = np.zeros(a.dim)
+    np.maximum.at(largest, i, size)
+    np.maximum.at(largest, j, size)
+    central = np.flatnonzero(largest < TOL.central)
+    if central.size and center_weight is None:
         raise LieAlgebraError(
             f"-K is degenerate on the centre of {a.name}; pass center_weight"
         )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from types import MappingProxyType
 
 import numpy as np
@@ -60,6 +61,131 @@ class MetricSpec:
         if not t > 0:
             raise ReductiveError("g_t requires t > 0")
         return cls((1.0, 2.0 * t))
+
+
+# the summand triples of bm that the two-summand bracket inclusions leave
+# nonzero: [m1,m1] in k + m2 and [m1,m2] in m1 (input, input, output)
+_INCLUSION_BLOCKS = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+
+
+@dataclass(frozen=True, eq=False)
+class Blocks:
+    """A 3-tensor over m held on its summand-triple blocks.
+
+    ``parts[(a, b, c)]`` is the C-contiguous read-only block over summands
+    a, b and c, of shape (dims[a], dims[b], dims[c]); a triple that is not
+    a key is zero.  ``dense`` is the (M, M, M) array, built on first read;
+    a single block is its own dense view.
+    """
+
+    dims: tuple
+    parts: MappingProxyType
+
+    @classmethod
+    def from_parts(cls, dims, parts: dict) -> "Blocks":
+        return cls(tuple(dims), MappingProxyType({key: _read_only(block)
+                                                 for key, block in parts.items()}))
+
+    @classmethod
+    def split(cls, dims, table, keys=None) -> "Blocks":
+        """Copies of the blocks ``keys`` of a dense table (default: all)."""
+        sl = _slices(dims)
+        if keys is None:
+            keys = np.ndindex((len(dims),) * 3)
+        table = np.asarray(table, dtype=float)
+        return cls.from_parts(dims, {key: np.array(table[sl[key[0]], sl[key[1]], sl[key[2]]])
+                                     for key in keys})
+
+    @cached_property
+    def slices(self) -> list:
+        return _slices(self.dims)
+
+    @cached_property
+    def size(self) -> int:
+        return sum(self.dims)
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        if len(self.dims) == 1 and self.parts:
+            return self.parts[(0, 0, 0)]
+        out = np.zeros((self.size,) * 3)
+        sl = self.slices
+        for (a, b, c), block in self.parts.items():
+            out[sl[a], sl[b], sl[c]] = block
+        return _read_only(out)
+
+    def scaled(self, factors: np.ndarray) -> "Blocks":
+        """Each block times ``factors[a, b, c]`` of its summand triple."""
+        return Blocks.from_parts(self.dims, {key: block * factors[key]
+                                             for key, block in self.parts.items()})
+
+    def trace(self) -> np.ndarray:
+        """u[c] = sum_i T[i, i, c]."""
+        u = np.zeros(self.size)
+        sl = self.slices
+        for (a, b, c), block in self.parts.items():
+            if a == b:
+                u[sl[c]] += np.einsum("iic->c", block)
+        return u
+
+    def along(self, v: np.ndarray, slot: int) -> np.ndarray:
+        """The (M, M) matrix sum_s v[s] T[s, x, y] (slot 0) or sum_s v[s] T[x, s, y] (slot 1)."""
+        out = np.zeros((self.size, self.size))
+        sl = self.slices
+        for key, block in self.parts.items():
+            w = v[sl[key[slot]]]
+            if slot == 0:
+                out[sl[key[1]], sl[key[2]]] += (w @ block.reshape(w.size, -1)).reshape(
+                    block.shape[1:])
+            else:
+                out[sl[key[0]], sl[key[2]]] += w @ block
+        return out
+
+
+def _slices(dims) -> list:
+    bounds = (0, *accumulate(dims))
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def combine(terms) -> Blocks:
+    """sum of sign * T.transpose(axes) over the (sign, T, axes) terms, sign = +-1.
+
+    Each output block is formed once, on the union of the terms' blocks:
+    a copy of its first present term, then one in-place add or subtract
+    per further term, in the order given.
+    """
+    dims = terms[0][1].dims
+    parts = {}
+    for sign, table, axes in terms:
+        for key, src in table.parts.items():
+            out_key = tuple(key[n] for n in axes)
+            src = src.transpose(axes)
+            block = parts.get(out_key)
+            if block is None:
+                parts[out_key] = (np.array(src, order="C") if sign > 0
+                                  else np.negative(src, out=np.empty(src.shape)))
+            elif sign > 0:
+                block += src
+            else:
+                block -= src
+    return Blocks.from_parts(dims, parts)
+
+
+def contract(a: Blocks, b: Blocks) -> np.ndarray:
+    """The (M, M) matrix C[x, y] = sum_{i,j} A[x, i, j] B[i, j, y].
+
+    Output block (X, Y) sums A[X, I, J] B[I, J, Y] over the stored pairs,
+    one GEMM of contiguous blocks per pair.
+    """
+    out = np.zeros((a.size, a.size))
+    sl = a.slices
+    for (x, i, j), left in a.parts.items():
+        for y in range(len(a.dims)):
+            right = b.parts.get((i, j, y))
+            if right is not None:
+                out[sl[x], sl[y]] += (left.reshape(left.shape[0], -1)
+                                      @ right.reshape(-1, right.shape[2]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -150,6 +276,20 @@ class ReductiveSpace:
         """m-part coefficients of [Z_a, Z_b] over the m-basis, exactly
         antisymmetric in (a, b)."""
         return self._m_bracket_parts[0]
+
+    @cached_property
+    def bm_blocks(self) -> Blocks:
+        """``bm`` on its summand-triple blocks, read-only copies.
+
+        The five blocks that ``check_inclusions`` certifies to vanish on a
+        two-summand space are left out, so only (m1,m1,m2), (m1,m2,m1) and
+        (m2,m1,m1) are kept; one summand, more than two, or failed
+        inclusions keep every block.
+        """
+        keys = None
+        if len(self.summands) == 2 and check_inclusions(self)["ok"]:
+            keys = _INCLUSION_BLOCKS
+        return Blocks.split(self.summand_dims, self.bm, keys)
 
     @cached_property
     def bk(self) -> np.ndarray:
@@ -529,24 +669,10 @@ def rescale_factors(r: np.ndarray) -> np.ndarray:
     return r[None, None, :] / np.multiply.outer(r, r)[:, :, None]
 
 
-def scale_blocks(space: ReductiveSpace, table: np.ndarray,
-                 factors: np.ndarray) -> np.ndarray:
-    """table[A,B,C] * factors[a,b,c] on each summand-triple block (A,B,C).
-
-    One pass over the table: the rows of summand a are multiplied at once
-    by the (M, M) matrix that spreads factors[a] over the (b, c) blocks.
-    """
-    dims = space.summand_dims
-    spread = np.repeat(np.repeat(factors, dims, axis=1), dims, axis=2)
-    out = np.empty_like(table)
-    for a, sa in enumerate(space.summand_slices()):
-        np.multiply(table[sa], spread[a], out=out[sa])
-    return out
-
-
-def frame_bracket(space: ReductiveSpace, metric: MetricSpec) -> np.ndarray:
-    """bm_f[a,b,c]: frame coefficients of [E_a,E_b]_m, E_a = Z_a / sigma_a."""
-    return scale_blocks(space, space.bm, rescale_factors(summand_sigma(space, metric)))
+def frame_bracket(space: ReductiveSpace, metric: MetricSpec) -> Blocks:
+    """bm_f[a,b,c]: frame coefficients of [E_a,E_b]_m, E_a = Z_a / sigma_a,
+    on the blocks of ``bm_blocks``."""
+    return space.bm_blocks.scaled(rescale_factors(summand_sigma(space, metric)))
 
 
 def frame_k_tables(space: ReductiveSpace, metric: MetricSpec):
@@ -565,4 +691,4 @@ def frame_tables(space: ReductiveSpace, metric: MetricSpec):
     coefficients of [E_a,E_b]_m, bk_f[a,b,:] the k-coefficients of
     [E_a,E_b]_k, and adk_f[w] the frame matrix of ad(k_w) on m.
     """
-    return (frame_bracket(space, metric), *frame_k_tables(space, metric))
+    return (frame_bracket(space, metric).dense, *frame_k_tables(space, metric))

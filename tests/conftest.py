@@ -57,3 +57,19 @@ def flag_d64():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+def dense_view(alg):
+    """The (dim, dim, dim) structure tensor of an algebra's stored constants."""
+    structure = np.zeros((alg.dim,) * 3)
+    structure[tuple(alg.structure_ijk)] = alg.structure_c
+    return structure
+
+
+def algebra_from_dense(name, basis, structure, killing):
+    """A ``LieAlgebra`` holding the nonzeros of a dense structure tensor."""
+    from redhom.liealg import LieAlgebra
+
+    ijk = np.nonzero(structure)
+    return LieAlgebra(name=name, basis=basis, structure_ijk=np.array(ijk),
+                      structure_c=structure[ijk], killing=killing)

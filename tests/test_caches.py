@@ -1,20 +1,25 @@
 """Per-space caches, the one-pass frame tables and the warm point path.
 
 A space computes its default Casimir data, its bracket-inclusion residuals,
-the bracket contractions of the two-summand closed forms and the isotropy
-pairings of the oracle once, as read-only cached properties; a Nomizu map
-computes its frame bracket, its swapped coefficients and its torsion once.
-The one-pass builders are checked against the three-pass rescaling they
-replaced, the oracle's isotropy term against the frame-table pairing it
-replaced, bm and bk against their reads of the retained bracket vectors,
-and the co-differential against its transposed-copy form; the references
-are kept here.
+the bracket contractions of the two-summand closed forms, the isotropy
+pairings of the oracle and the summand blocks of bm once, as read-only
+cached properties; a Nomizu map computes its frame bracket and its torsion
+once, on the same blocks.  The one-pass builders are checked against the
+three-pass rescaling they replaced, the oracle's isotropy term against the
+frame-table pairing it replaced, bm and bk against their reads of the
+retained bracket vectors, and the block torsion, oracle and co-differential
+against the dense formulas they replaced; the references are kept here.
 """
 
 import dataclasses
 import gc
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,12 +38,24 @@ from redhom.curvature import (
 from redhom.reductive import MetricSpec, casimir, check_inclusions, frame_sigma, frame_tables
 
 ST_POINTS = ((1.7, 0.8), (-0.6, 0.5), (2.9, 0.3), (1.0, 1.4))
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def frame_rescale(table, r):
     """table[a, b, c] * r[c] / (r[a] r[b]) in three broadcast passes."""
     inv = 1.0 / r
     return table * inv[:, None, None] * inv[None, :, None] * r
+
+
+def on_kept_blocks(space, table):
+    """``table`` with the blocks that ``bm_blocks`` leaves out set to zero,
+    after checking that they hold rounding only."""
+    kept = np.zeros_like(table)
+    sl = space.summand_slices()
+    for a, b, c in space.bm_blocks.parts:
+        kept[sl[a], sl[b], sl[c]] = table[sl[a], sl[b], sl[c]]
+    assert np.abs(table - kept).max() <= 1e-14 * max(1.0, np.abs(table).max())
+    return kept
 
 
 def reference_nomizu_st(space, s, t):
@@ -86,15 +103,37 @@ def reference_validate(space):
     return report
 
 
-def codifferential_with_transposed_copy(nm):
-    """delta T with <T,L> read from a contiguous copy of T[b,a,c]."""
-    t3, L, m = nm.torsion_table, nm.coeffs, nm.dim
-    v = np.einsum("iic->c", L)
+def dense_torsion(nm):
+    """T = L - L[b,a,c] - bm_f on the dense coefficients, bm_f rescaled from bm."""
+    bm_f = frame_rescale(nm.space.bm, frame_sigma(nm.space, nm.metric))
+    return nm.coeffs - nm.coeffs.transpose(1, 0, 2) - bm_f
+
+
+def dense_ricci_oracle(nm):
+    """Ric = Lambda.u - <Lambda + bm_f,Lambda> - <bk_f,adk_f>, one GEMM on
+    the dense coefficients."""
+    L, m = nm.coeffs, nm.dim
+    _, bk_f, adk_f, _ = frame_tables(nm.space, nm.metric)
+    left = L + frame_rescale(nm.space.bm, frame_sigma(nm.space, nm.metric)).transpose(0, 2, 1)
+    ric = np.einsum("iij->j", L) @ L - left.reshape(m, -1) @ L.reshape(-1, m)
+    if nm.space.dim_k:
+        ric -= frame_pairing(bk_f, adk_f)
+    return ric
+
+
+def dense_codifferential(nm):
+    """delta T = <v,T> + <L,T> - <T,L>, with <T,L> read from a contiguous
+    copy of T[b,a,c] and <L,T> from one of L[b,a,c]."""
+    t3, L, m = dense_torsion(nm), nm.coeffs, nm.dim
     t_rows = np.ascontiguousarray(t3.transpose(1, 0, 2)).reshape(m, -1)
-    dt = (v @ t3.reshape(m, -1)).reshape(m, m)
-    dt += nm.swapped_coeffs.reshape(m, -1) @ t3.reshape(-1, m)
+    dt = (np.einsum("iic->c", L) @ t3.reshape(m, -1)).reshape(m, m)
+    dt += np.ascontiguousarray(L.transpose(1, 0, 2)).reshape(m, -1) @ t3.reshape(-1, m)
     dt -= t_rows @ L.reshape(-1, m)
     return dt
+
+
+def _close(got, ref):
+    return np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
 def _rel(got, ref):
@@ -119,17 +158,17 @@ def two_summand(request):
 def test_one_pass_nomizu_matches_three_pass_reference(two_summand):
     for s, t in ST_POINTS:
         assert _rel(nomizu_st(two_summand, s, t).coeffs,
-                    reference_nomizu_st(two_summand, s, t)) <= 1e-15
+                    on_kept_blocks(two_summand, reference_nomizu_st(two_summand, s, t))) <= 1e-15
     assert _rel(nomizu_levi_civita_gt(two_summand, 0.7).coeffs,
-                reference_nomizu_st(two_summand, 1.0, 0.7)) <= 1e-15
+                on_kept_blocks(two_summand, reference_nomizu_st(two_summand, 1.0, 0.7))) <= 1e-15
 
 
 def test_one_pass_frame_bracket_matches_three_pass_reference(two_summand):
     for _, t in ST_POINTS:
         metric = MetricSpec.g_t(t)
         bm_f = frame_tables(two_summand, metric)[0]
-        assert _rel(bm_f, frame_rescale(two_summand.bm,
-                                        frame_sigma(two_summand, metric))) <= 1e-15
+        ref = frame_rescale(two_summand.bm, frame_sigma(two_summand, metric))
+        assert _rel(bm_f, on_kept_blocks(two_summand, ref)) <= 1e-15
 
 
 def test_rescaled_map_matches_three_pass_reference(two_summand):
@@ -137,6 +176,31 @@ def test_rescaled_map_matches_three_pass_reference(two_summand):
     metric = MetricSpec.g_t(0.9)
     ratio = frame_sigma(two_summand, metric) / frame_sigma(two_summand, nm.metric)
     assert _rel(nm.rescaled(metric).coeffs, frame_rescale(nm.coeffs, ratio)) <= 1e-15
+
+
+@pytest.mark.parametrize("space_id", catalog.known_ids())
+def test_block_point_path_matches_the_dense_reference(space_id):
+    # two summands: seeded (s, t); one summand: the alpha family; and a
+    # seeded dense non-metric map, which keeps all of its blocks
+    space = catalog.build_space(space_id)
+    rng = np.random.default_rng(30)
+    if space.nsummands == 2:
+        maps = [nomizu_st(space, rng.uniform(-1.0, 3.0), rng.uniform(0.25, 1.5))
+                for _ in range(3)]
+        metric = MetricSpec.g_t(rng.uniform(0.25, 1.5))
+    else:
+        maps = [connections.nomizu_alpha(space, a) for a in rng.uniform(-2.0, 2.0, 3)]
+        metric = MetricSpec.killing(1)
+    dense = NomizuMap(space, metric, rng.standard_normal((space.dim_m,) * 3))
+    assert len(dense.blocks.parts) == space.nsummands ** 3
+    for nm in [*maps, dense]:
+        t3, ref = torsion(nm), dense_torsion(nm)
+        assert _close(t3.components, ref)
+        assert _close(ricci_oracle(nm).components, dense_ricci_oracle(nm))
+        assert _close(codifferential(nm).components, dense_codifferential(nm))
+        skew = float(np.abs(ref + ref.transpose(0, 2, 1)).max())
+        assert _close(t3.skew_residual(), skew)
+        assert _close(t3.norm_squared(), np.einsum("ijc,ijc->", ref, ref) / 6.0)
 
 
 def test_oracle_is_the_trace_of_the_full_curvature(cp3, flag_b54, flag_c53, flag_d64):
@@ -204,10 +268,9 @@ def test_torsion_is_exactly_antisymmetric_and_codifferential_copy_free(flag_b54,
                 connections.nomizu_alpha(space, 0.3),
                 NomizuMap(space, MetricSpec.g_t(0.7), coeffs))
         for nm in maps:
-            t = nm.torsion_table
+            t = torsion(nm).components
             assert np.array_equal(t, -t.transpose(1, 0, 2))
-            assert np.array_equal(codifferential(nm).components,
-                                  codifferential_with_transposed_copy(nm))
+            assert _close(codifferential(nm).components, dense_codifferential(nm))
 
 
 def test_skew_residual_is_the_two_temporary_max(flag_b54):
@@ -282,8 +345,9 @@ def test_cached_bracket_data_is_read_only(flag_c53):
 
 def test_nomizu_coefficients_and_torsion_are_read_only(cp3):
     nm = nomizu_st(cp3, 2.0, 0.6)
-    assert torsion(nm).components is nm.torsion_table
-    for arr in (nm.coeffs, nm.torsion_table):
+    assert torsion(nm).components is nm.torsion_blocks.dense
+    for arr in (nm.coeffs, torsion(nm).components, *nm.blocks.parts.values(),
+                *nm.torsion_blocks.parts.values()):
         with pytest.raises(ValueError):
             arr[0, 0, 0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -300,9 +364,9 @@ def test_nomizu_metric_is_frozen(cp3):
 def test_nomizu_map_copies_a_writeable_array(cp3):
     coeffs = np.random.default_rng(3).standard_normal((cp3.dim_m,) * 3)
     nm = NomizuMap(cp3, MetricSpec.g_t(0.5), coeffs)
-    before = nm.torsion_table.copy()
+    before = torsion(nm).components.copy()
     coeffs[0, 0, 0] += 1.0                    # the caller's array stays writeable
-    assert np.array_equal(nm.torsion_table, before)
+    assert np.array_equal(torsion(nm).components, before)
     assert not np.shares_memory(nm.coeffs, coeffs)
 
 
@@ -360,9 +424,11 @@ def test_space_invariants_are_built_once_per_space(monkeypatch, flag_b54):
 # allocation guard
 
 
-def test_point_task_holds_at_most_five_and_a_half_m3_tables(flag_d64):
-    # The map's coefficients, L[b,a,c], bm_f and T live through the task, with
-    # one transient m^3 array at a time beside them; a sixth would fail here.
+def test_point_task_holds_at_most_two_m3_tables(flag_d64):
+    # The map, bm_f and T live through the task on their three stored
+    # blocks, each 0.43 m^3 on flag-D(6,4), with one block-sized transient
+    # table at a time beside them (the oracle's L + bm_f[a,c,b], the
+    # co-differential's L[b,a,c]); a dense m^3 table would fail here.
     point_task(flag_d64, 1.7, 0.8)           # the space's own tables, built once
     tracemalloc.start()
     try:
@@ -370,7 +436,53 @@ def test_point_task_holds_at_most_five_and_a_half_m3_tables(flag_d64):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.5 * 8 * flag_d64.dim_m ** 3
+    assert peak <= 2 * 8 * flag_d64.dim_m ** 3
+
+
+FAULT_SCRIPT = """
+import resource
+import numpy as np
+from redhom import catalog
+from redhom.connections import nomizu_st
+from redhom.curvature import codifferential, ricci_oracle, ricci_st_closed, torsion
+
+space = catalog.build_space("flag-D(6,4)")
+rng = np.random.default_rng(1)
+
+def point():
+    s, t = rng.uniform(-1.0, 3.0), rng.choice([0.5, rng.uniform(0.25, 1.5)])
+    nm = nomizu_st(space, s, t)
+    torsion(nm).skew_residual()
+    np.abs(ricci_oracle(nm).components - ricci_st_closed(space, s, t).components).max()
+    codifferential(nm)
+
+for _ in range(20):
+    point()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(300):
+    point()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 300)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="glibc's mmap threshold")
+def test_point_task_is_served_from_the_heap_at_a_pinned_mmap_threshold():
+    # glibc serves an allocation of at least M_MMAP_THRESHOLD with its own
+    # mmap, and unmaps it on free, so every later call faults its pages in
+    # again.  With the threshold pinned at 128 KiB (for the child only) a
+    # point task whose per-point arrays all stay below it reuses the heap;
+    # the dense m^3 tables (665 KiB on flag-D(6,4)) cost about 1000 faults
+    # a task.  The trim threshold is raised too: pinning the mmap threshold
+    # leaves it at 128 KiB, and whether a task's frees then trim the top of
+    # the heap depends on where set-up left it (0 to 140 faults a task on
+    # the same code), not on the task's array sizes.
+    env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="131072",
+               MALLOC_TRIM_THRESHOLD_=str(2**27), OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", FAULT_SCRIPT], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert float(proc.stdout) < 20
 
 
 def stacked_transvection_rank(space) -> int:

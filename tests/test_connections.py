@@ -279,12 +279,13 @@ def test_frame_tables_are_computed_once_per_map(cp3, flag_c53):
             assert np.array_equal(table, fresh)
             with pytest.raises(ValueError):
                 table[(0,) * table.ndim] += 1.0
-        assert tables[0] is nm.frame_bracket
-        swapped = nm.swapped_coeffs
-        assert nm.swapped_coeffs is swapped and swapped.flags.c_contiguous
-        assert np.array_equal(swapped, nm.coeffs.transpose(1, 0, 2))
-        with pytest.raises(ValueError):
-            swapped[0, 0, 0] = 1.0
+        assert tables[0] is nm.frame_bracket.dense
+        blocks = nm.torsion_blocks
+        assert nm.torsion_blocks is blocks
+        for block in blocks.parts.values():
+            assert block.flags.c_contiguous
+            with pytest.raises(ValueError):
+                block[0, 0, 0] = 1.0
         # another metric gets its own tables
         other = nm.rescaled(MetricSpec.g_t(0.3))
         assert other.frame_tables is not tables
@@ -330,7 +331,7 @@ def test_equivariance_residual_holds_a_few_m3_tables(flag_d64):
     # a block of rows of k at a time (one here): the whole defect, dim k = 22
     # m^3 tables, is never live
     nm = nomizu_st(flag_d64, 1.0, 0.5)
-    nm.frame_tables
+    nm.frame_tables, nm.coeffs               # the map's cached dense views
     tracemalloc.start()
     try:
         residual = equivariance_residual(nm)
@@ -346,8 +347,8 @@ def test_derivation_action_matches_einsum_reference(su3_group, flag_b54):
     cases = [(rng.standard_normal((7,) * 3), rng.standard_normal((7,) * 3))]
     for space in (su3_group, flag_b54):
         nm = nomizu_alpha(space, -1.0)
-        cases.append((nm.coeffs, nm.frame_bracket))
-        cases.append((nm.coeffs, nm.torsion_table))
+        cases.append((nm.coeffs, nm.frame_bracket.dense))
+        cases.append((nm.coeffs, torsion(nm).components))
     for L, a in cases:
         got, ref = derivation_action(L, a), einsum_derivation_action(L, a)
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())

@@ -2,13 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import algebra_from_dense, dense_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redhom import liealg
 from redhom.liealg import (
     InnerProduct,
-    LieAlgebra,
     LieAlgebraError,
     bprime,
     build_g2,
@@ -74,7 +74,7 @@ def dense_jacobi(c):
 
 
 def assert_matches_reference(alg):
-    new, ref = alg.validate()["jacobi"], dense_jacobi(alg.structure)
+    new, ref = alg.validate()["jacobi"], dense_jacobi(dense_view(alg))
     assert abs(new - ref) <= 1e-9 * max(new, ref), (alg.name, new, ref)
 
 
@@ -84,12 +84,11 @@ def perturbed(alg, rng, size=1e-3):
     Small algebras get a dense perturbation; above dim 30 a sparse one, which
     also adds nonzero brackets and columns the unperturbed tensor lacks.
     """
-    p = size * rng.standard_normal(alg.structure.shape)
+    p = size * rng.standard_normal((alg.dim,) * 3)
     if alg.dim > 30:
         p *= rng.random(p.shape) < 2e-3
     p -= p.transpose(1, 0, 2)
-    return LieAlgebra(name=f"{alg.name}~", basis=alg.basis,
-                      structure=alg.structure + p, killing=alg.killing)
+    return algebra_from_dense(f"{alg.name}~", alg.basis, dense_view(alg) + p, alg.killing)
 
 
 JACOBI_BUILDERS = {
@@ -122,8 +121,7 @@ def test_validate_fails_on_a_jacobi_defect():
     c = np.zeros((3, 3, 3))
     c[0, 1, 1], c[1, 0, 1] = 1.0, -1.0
     c[1, 2, 0], c[2, 1, 0] = 1.0, -1.0
-    alg = LieAlgebra(name="bad", basis=np.zeros((3, 1, 1)), structure=c,
-                     killing=np.zeros((3, 3)))
+    alg = algebra_from_dense("bad", np.zeros((3, 1, 1)), c, np.zeros((3, 3)))
     report = alg.validate()
     assert report["antisymmetry"] == 0.0 and report["killing_ad_invariance"] == 0.0
     assert report["jacobi"] == dense_jacobi(c) == 1.0
@@ -149,8 +147,7 @@ def test_validate_sees_each_jacobi_term_alone(brackets, labels):
     for x, y, z, val in brackets:
         x, y, z = labels[x], labels[y], labels[z]
         c[x, y, z], c[y, x, z] = val, -val
-    alg = LieAlgebra(name="bad", basis=np.zeros((d, 1, 1)), structure=c,
-                     killing=np.zeros((d, d)))
+    alg = algebra_from_dense("bad", np.zeros((d, 1, 1)), c, np.zeros((d, d)))
     report = alg.validate()
     assert report["antisymmetry"] == 0.0 and report["killing_ad_invariance"] == 0.0
     assert report["jacobi"] == dense_jacobi(c) == 1.0
@@ -189,25 +186,53 @@ def test_blocked_structure_matches_dense_reference(key, builder):
     alg = builder()
     ref, closure, scale = dense_structure(alg.basis)
     assert closure <= 1e-8 * scale
-    assert np.abs(alg.structure - ref).max() <= 1e-14
+    assert np.abs(dense_view(alg) - ref).max() <= 1e-14
     killing = np.tensordot(ref, ref, ([1, 2], [2, 1]))
     assert np.abs(alg.killing - killing).max() <= 1e-12 * max(1.0, np.abs(killing).max())
+
+
+def dense_report(alg):
+    """Reference: antisymmetry, Jacobi and ad-invariance on the dense tensor."""
+    c = dense_view(alg)
+    part = c @ alg.killing
+    return {"antisymmetry": float(np.abs(c + c.transpose(1, 0, 2)).max()),
+            "jacobi": dense_jacobi(c),
+            "killing_ad_invariance": float(np.abs(part + part.transpose(0, 2, 1)).max())}
+
+
+@pytest.mark.parametrize("key,builder", STRUCTURE_BUILDERS, ids=[k for k, _ in STRUCTURE_BUILDERS])
+def test_validate_matches_the_dense_report(key, builder):
+    alg = builder()
+    report, ref = alg.validate(), dense_report(alg)
+    assert report["ok"]
+    for name, value in ref.items():
+        assert abs(report[name] - value) <= 1e-14, name
+    # a seeded perturbation of one order of each bracket only: the swapped
+    # constants are stored apart, so antisymmetry sees it
+    rng = np.random.default_rng(11)
+    p = 1e-3 * rng.standard_normal((alg.dim,) * 3) * (rng.random((alg.dim,) * 3) < 0.05)
+    p[0, -1, 0] = 1e-3
+    bent = algebra_from_dense(f"{key}~", alg.basis, dense_view(alg) + p, alg.killing)
+    c = dense_view(bent)
+    report = bent.validate()
+    assert report["antisymmetry"] == float(np.abs(c + c.transpose(1, 0, 2)).max()) > 1e-6
+    assert not report["ok"]
 
 
 @pytest.mark.parametrize("key", ["su3", "sp2", "g2", "su2+so5"])
 def test_results_do_not_depend_on_the_block_budget(key, monkeypatch):
     alg = JACOBI_BUILDERS[key]()
     bent = perturbed(alg, np.random.default_rng(3))
-    skewed = alg.structure.copy()
+    skewed = dense_view(alg)
     skewed[0, 1] += 1e-3  # neither antisymmetric nor ad-invariant
-    skewed = LieAlgebra(name="skewed", basis=alg.basis, structure=skewed, killing=alg.killing)
-    expected = [alg.structure, alg.validate(), bent.validate(), skewed.validate()]
+    skewed = algebra_from_dense("skewed", alg.basis, skewed, alg.killing)
+    expected = [dense_view(alg), alg.validate(), bent.validate(), skewed.validate()]
     assert not expected[3]["ok"]
     # one commutator per block in from_basis and one first index per
     # antisymmetry and Killing block; the Jacobi check takes no block budget
     monkeypatch.setattr(liealg, "_BLOCK", 64)
     small = liealg.from_basis(alg.name, alg.basis)
-    assert np.abs(small.structure - expected[0]).max() <= 1e-14
+    assert np.abs(dense_view(small) - expected[0]).max() <= 1e-14
     for report, ref in [(small.validate(), expected[1]), (bent.validate(), expected[2]),
                         (skewed.validate(), expected[3])]:
         assert report["ok"] == ref["ok"]
@@ -259,10 +284,10 @@ def test_dense_jacobi_check_stays_within_its_budget():
     # every bracket and column nonzero (d = 36): the whole Jacobi product
     # peaked at 33.4 MiB, the slabs of one smallest index are O(d^3)
     so9 = build_so(9)
-    p = 1e-3 * np.random.default_rng(5).standard_normal(so9.structure.shape)
-    bent = LieAlgebra(name="so9~", basis=so9.basis, killing=so9.killing,
-                      structure=so9.structure + p - p.transpose(1, 0, 2))
-    assert np.count_nonzero(bent.structure) == 36**3 - 36**2
+    p = 1e-3 * np.random.default_rng(5).standard_normal((36,) * 3)
+    bent = algebra_from_dense("so9~", so9.basis, dense_view(so9) + p - p.transpose(1, 0, 2),
+                              so9.killing)
+    assert bent.structure_c.size == 36**3 - 36**2
     assert traced_peak(bent.validate) < 33.4 * 2**20 / 3
     assert_matches_reference(bent)
 
@@ -527,11 +552,11 @@ def test_cached_algebra_and_inner_product_are_read_only():
 
     so5 = build_so(5)
     ip = negative_killing(so5)
-    for array in (so5.basis, so5.structure, so5.killing, ip.gram):
+    for array in (so5.basis, so5.structure_ijk, so5.structure_c, so5.killing, ip.gram):
         with pytest.raises(ValueError):
-            array[(0,) * array.ndim] += 1.0
+            array[(0,) * array.ndim] += 1
     with pytest.raises(dataclasses.FrozenInstanceError):
-        so5.structure = so5.structure.copy()
+        so5.structure_c = so5.structure_c.copy()
     with pytest.raises(dataclasses.FrozenInstanceError):
         ip.gram = ip.gram.copy()
     assert build_so(5) is so5 and so5.validate()["ok"]
@@ -542,5 +567,5 @@ def test_direct_sum_block_structure():
     ss = direct_sum(build_su(2), build_su(2))
     assert ss.dim == 6
     # cross brackets vanish
-    assert np.abs(ss.structure[:3, 3:, :]).max() < 1e-12
+    assert np.abs(dense_view(ss)[:3, 3:, :]).max() < 1e-12
     assert ss.validate()["ok"]
