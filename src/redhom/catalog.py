@@ -44,8 +44,10 @@ class CatalogError(ValueError):
     """Unknown space id, invalid family parameters or an oversized algebra."""
 
 
-# Largest dense structure tensor, 8 dim^3 bytes, that a space id may ask for:
-# so(24) (168 MB) builds, so(40) (3.8 GB) is refused.
+# Largest bracket table, 8 dim^3 bytes, that a space id may ask for: the
+# M^2 dim g bracket vectors of a space's validate, dim^3 on a lie-group id
+# (M = dim g), bound every table a build forms.  so(24) (168 MB) builds,
+# so(40) (3.8 GB) is refused.
 STRUCTURE_BUDGET_BYTES = 1 << 30
 
 
@@ -336,11 +338,11 @@ _GROUP_RE = re.compile(r"^lie-group\((\w+)\)$")
 
 
 def _require_structure_fits(sid: str, dim: int) -> None:
-    """Raise CatalogError when a dim-``dim`` structure tensor is over budget."""
+    """Raise CatalogError when the 8 dim^3 bracket-table bound is over budget."""
     need = 8 * dim ** 3
     if need > STRUCTURE_BUDGET_BYTES:
         raise CatalogError(
-            f"{sid}: the structure tensor of its dimension-{dim} algebra needs "
+            f"{sid}: a bracket table over its dimension-{dim} algebra may need "
             f"{need / 2**30:.3g} GiB, over the {STRUCTURE_BUDGET_BYTES / 2**30:g} GiB budget"
         )
 

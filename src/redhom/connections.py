@@ -176,7 +176,7 @@ def biinvariant_family(space: ReductiveSpace, ideals, alphas) -> NomizuMap:
         offset += basis.shape[0]
         proj = inv[:, rows] @ basis          # projection onto this ideal
         comp = m @ proj                      # ideal components of the frame vectors
-        coeffs += 0.5 * (1.0 - alpha) * (alg.brackets(comp, comp) @ (space.ip.gram @ m.T))
+        coeffs += 0.5 * (1.0 - alpha) * alg.brackets(comp, comp, space.ip.gram @ m.T)
     return NomizuMap(space, metric, coeffs)
 
 

@@ -17,7 +17,8 @@ import numpy as np
 from .tolerances import TOL
 
 # entries of one scratch table in an algebra build, the antisymmetry and Killing
-# checks or a connection's equivariance check; the Jacobi check is not blocked
+# checks, a bracket table's first slot or a connection's equivariance check;
+# the Jacobi check is not blocked
 _BLOCK = 1 << 16
 
 # Associative 3-form on R^7: index triples (1-based) and signs.
@@ -136,42 +137,53 @@ class LieAlgebra:
 
     def bracket(self, x, y) -> np.ndarray:
         """Coefficients of [X, Y] for coefficient vectors x, y."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape != (self.dim,) or y.shape != (self.dim,):
-            raise LieAlgebraError(
-                f"expected coefficient vectors of length {self.dim}"
-            )
-        i, j, k = self.structure_ijk
-        return np.bincount(k, weights=self.structure_c * x[i] * y[j], minlength=self.dim)
+        return self.brackets(np.asarray(x, dtype=float)[None],
+                             np.asarray(y, dtype=float)[None])[0, 0]
 
-    def brackets(self, a, b) -> np.ndarray:
-        """Coefficient vectors of [A_i, B_j] for coefficient rows of A and B.
+    def brackets(self, a, b, onto=None) -> np.ndarray:
+        """out[p, q, r] = sum_k [A_p, B_q]_k onto[k, r] for coefficient rows of A and B.
 
-        Shape (len(A), len(B), dim).  Fixed contraction order: A against the
-        first structure slot, G[p, j, k] = sum_i A[p, i] c[i, j, k], summed
-        in order over the constants that share (j, k); then B against the
-        second (batched matmul).  ``@ (ip.gram @ C.T)`` reads it off in an
-        ip-orthonormal basis C.
+        Shape (len(A), len(B), onto.shape[1]); without ``onto`` the
+        coefficient vectors themselves, shape (len(A), len(B), dim).
+        ``onto = ip.gram @ C.T`` reads the brackets off in an ip-orthonormal
+        basis C.  Fixed contraction order, one block of rows of A at a time:
+        A against the first structure slot, G[p, j, k] = sum_i A[p, i] c[i, j, k],
+        summed in order over the constants that share (j, k), into a table
+        of at most ``_BLOCK`` entries (one row of A if dim^2 is larger); then
+        B against the second slot (batched matmul); then ``onto``.
         """
-        a = np.asarray(a, dtype=float)
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        d = self.dim
+        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != d or b.shape[1] != d:
+            raise LieAlgebraError(f"expected rows of {d} coefficients, "
+                                  f"got shapes {a.shape} and {b.shape}")
+        if onto is not None:
+            onto = np.asarray(onto, dtype=float)
+            if onto.ndim != 2 or onto.shape[0] != d:
+                raise LieAlgebraError(f"expected a read-off with {d} rows, got shape {onto.shape}")
         i, c, cols, layers = self._first_slot_groups
-        terms = np.ascontiguousarray(a.T)[i] * c[:, None]    # c[i,j,k] A[p,i] by constant
-        g = np.zeros((a.shape[0], self.dim * self.dim))
-        if layers:
-            # each column's constants summed in order, one rank at a time
-            rows = terms[layers[0][0]]
-            for pos, col in layers[1:]:
-                rows[col] += terms[pos]
-            g[:, cols] = rows.T
-        return np.asarray(b, dtype=float) @ g.reshape(-1, self.dim, self.dim)
+        out = np.empty((a.shape[0], b.shape[0], d if onto is None else onto.shape[1]))
+        step = max(1, _BLOCK // max(d, 1) ** 2)
+        for lo in range(0, a.shape[0], step):
+            part = a[lo:lo + step]
+            terms = np.ascontiguousarray(part.T)[i] * c[:, None]    # c[i,j,k] A[p,i] by constant
+            g = np.zeros((part.shape[0], d * d))
+            if layers:
+                # each column's constants summed in order, one rank at a time
+                rows = terms[layers[0][0]]
+                for pos, col in layers[1:]:
+                    rows[col] += terms[pos]
+                g[:, cols] = rows.T
+            g = g.reshape(-1, d, d)
+            if onto is None:
+                np.matmul(b, g, out=out[lo:lo + step])
+            else:
+                np.matmul(b @ g, onto, out=out[lo:lo + step])
+        return out
 
     def ad(self, x) -> np.ndarray:
         """Matrix of ad(X) acting on coefficient vectors."""
-        i, j, k = self.structure_ijk
-        weights = np.asarray(x, dtype=float)[i] * self.structure_c
-        return np.bincount(k * self.dim + j, weights=weights,
-                           minlength=self.dim ** 2).reshape(self.dim, self.dim)
+        return self.brackets(np.asarray(x, dtype=float)[None], np.eye(self.dim))[0].T
 
     def validate(self, tol: float = TOL.valid) -> dict:
         """Residuals of antisymmetry, Jacobi and ad-invariance of the Killing form.

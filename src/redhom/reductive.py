@@ -241,41 +241,18 @@ class ReductiveSpace:
 
     @cached_property
     def m_bracket_vectors(self) -> np.ndarray:
-        """[Z_a, Z_b] as algebra coefficient vectors, shape (M, M, dim g).
-
-        The package never caches it: ``bm``, ``bk`` and ``validate`` read
-        it when something already did, and otherwise use a transient table.
-        """
+        """[Z_a, Z_b] as algebra coefficient vectors, shape (M, M, dim g); the
+        package never fills it."""
         return _read_only(self.algebra.brackets(self.m_basis, self.m_basis))
-
-    def _bracket_vectors(self) -> np.ndarray:
-        """The cached ``m_bracket_vectors`` if any, else a transient table."""
-        vecs = vars(self).get("m_bracket_vectors")
-        if vecs is None:
-            vecs = self.algebra.brackets(self.m_basis, self.m_basis)
-        return vecs
-
-    def _bracket_parts(self, vecs: np.ndarray) -> tuple:
-        """(bm, bk) read off the bracket table ``vecs``.
-
-        bm is antisymmetrized, (raw - raw[b,a,c]) / 2, so that
-        bm[a,b,c] == -bm[b,a,c] holds bit for bit.
-        """
-        raw = vecs @ (self.ip.gram @ self.m_basis.T)
-        bm = raw - raw.transpose(1, 0, 2)
-        bm *= 0.5
-        return _read_only(bm), _read_only(vecs @ (self.ip.gram @ self.k_basis.T))
-
-    @cached_property
-    def _m_bracket_parts(self) -> tuple:
-        """(bm, bk) from one bracket table, ``_bracket_vectors``."""
-        return self._bracket_parts(self._bracket_vectors())
 
     @cached_property
     def bm(self) -> np.ndarray:
-        """m-part coefficients of [Z_a, Z_b] over the m-basis, exactly
-        antisymmetric in (a, b)."""
-        return self._m_bracket_parts[0]
+        """m-part coefficients of [Z_a, Z_b] over the m-basis, antisymmetrized,
+        (raw - raw[b,a,c]) / 2, so that bm[a,b,c] == -bm[b,a,c] holds bit for bit."""
+        raw = self.algebra.brackets(self.m_basis, self.m_basis, self.ip.gram @ self.m_basis.T)
+        bm = raw - raw.transpose(1, 0, 2)
+        bm *= 0.5
+        return _read_only(bm)
 
     @cached_property
     def bm_blocks(self) -> Blocks:
@@ -294,20 +271,20 @@ class ReductiveSpace:
     @cached_property
     def bk(self) -> np.ndarray:
         """k-part coefficients of [Z_a, Z_b] over the k-basis."""
-        return self._m_bracket_parts[1]
+        return _read_only(self.algebra.brackets(self.m_basis, self.m_basis,
+                                                self.ip.gram @ self.k_basis.T))
 
     @cached_property
     def adk(self) -> np.ndarray:
         """Matrices of ad(k_a) on m: adk[a, c, b] = <[k_a, Z_b], Z_c>."""
-        vecs = self.algebra.brackets(self.k_basis, self.m_basis)
-        table = (vecs @ (self.ip.gram @ self.m_basis.T)).transpose(0, 2, 1)
-        return _read_only(np.ascontiguousarray(table))
+        table = self.algebra.brackets(self.k_basis, self.m_basis, self.ip.gram @ self.m_basis.T)
+        return _read_only(np.ascontiguousarray(table.transpose(0, 2, 1)))
 
     @cached_property
     def k_structure(self) -> np.ndarray:
         """Structure constants of k in its orthonormal basis."""
-        vecs = self.algebra.brackets(self.k_basis, self.k_basis)
-        return _read_only(vecs @ (self.ip.gram @ self.k_basis.T))
+        return _read_only(self.algebra.brackets(self.k_basis, self.k_basis,
+                                                self.ip.gram @ self.k_basis.T))
 
     @cached_property
     def b_form(self) -> np.ndarray:
@@ -345,10 +322,10 @@ class ReductiveSpace:
     def validate(self, tol: float = TOL.valid) -> dict:
         """Residuals of the reductive-space invariants.
 
-        The bracket tables of the split row are the cached ones when
-        something already read them, else transient: the check leaves no
-        M^2 dim g table on a space that may be thrown away, such as the
-        unsplit space of a flag build.
+        The split row reads no cached table: it forms the bracket vectors
+        [Z_a, Z_b] and drops them, so the check leaves no M^2 dim g table,
+        nor ``bm`` or ``bk``, on a space that may be thrown away, such as
+        the unsplit space of a flag build.
         """
         g = self.ip.gram
         k, m = self.k_basis, self.m_basis
@@ -361,13 +338,10 @@ class ReductiveSpace:
                                  - self.adk.transpose(0, 2, 1) @ m),
         }
         # [Z_a, Z_b] must decompose exactly into k- and m-parts: the defect
-        # (vecs - bm m) - bk k, formed in one buffer
-        vecs = self._bracket_vectors()
-        bm, bk = vars(self).get("_m_bracket_parts") or self._bracket_parts(vecs)
-        split = bm @ m
+        # vecs - vecs G (m^T m + k^T k), formed in one buffer beside vecs
+        vecs = self.algebra.brackets(m, m)
+        split = vecs @ (g @ (m.T @ m + k.T @ k))
         np.subtract(vecs, split, out=split)
-        del vecs, bm
-        split -= bk @ k
         res["m_bracket_split"] = _max_abs(split)
         res["ok"] = bool(max(res.values()) < tol)
         return res

@@ -424,6 +424,20 @@ def test_space_invariants_are_built_once_per_space(monkeypatch, flag_b54):
 # allocation guard
 
 
+def test_bm_is_built_beside_bounded_scratch():
+    # the raw read-off and its antisymmetrized copy are 2 x 8 M^3 bytes; the
+    # len(A) x dim^2 first-slot table of so(16) took the peak to 4.8 x
+    space = _fresh(catalog.build_space("flag-D(8,5)"))
+    assert (space.dim_m, space.algebra.dim) == (80, 120)
+    tracemalloc.start()
+    try:
+        space.bm
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * space.dim_m ** 3
+
+
 def test_point_task_holds_at_most_two_m3_tables(flag_d64):
     # The map, bm_f and T live through the task on their three stored
     # blocks, each 0.43 m^3 on flag-D(6,4), with one block-sized transient

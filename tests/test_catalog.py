@@ -179,15 +179,15 @@ def test_lie_group_ids():
 
 
 def test_oversized_ambient_algebra_is_refused_from_its_id():
-    # 8 dim^3 bytes of dense structure constants against the 1 GiB budget:
+    # the 8 dim^3 byte bound of a bracket table against the 1 GiB budget:
     # so(31), sp(15) and u(22) fit, so(33), sp(16) and u(23) do not
     for sid in ["flag-D(12,8)", "flag-B(15,2)", "flag-C(15,2)", "lie-group(u22)"]:
         assert parse_id(sid).id == sid
     for sid in ["flag-D(20,13)", "flag-B(16,2)", "flag-C(16,2)", "lie-group(u23)",
                 "lie-group(U40)"]:
-        with pytest.raises(CatalogError, match="structure tensor.*GiB"):
+        with pytest.raises(CatalogError, match="bracket table.*GiB"):
             parse_id(sid)
-        with pytest.raises(CatalogError, match="structure tensor.*GiB"):
+        with pytest.raises(CatalogError, match="bracket table.*GiB"):
             build_space(sid)
 
 

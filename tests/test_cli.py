@@ -216,7 +216,7 @@ def test_oversized_homdim_exits_2(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [["check", "--space", "flag-D(20,13)"],
                                   ["space", "build", "lie-group(u40)"]])
 def test_oversized_algebra_exits_2_before_it_allocates(capsys, argv):
-    # so(40) and u(40): dense structure tensors of 3.5 and 30.5 GiB
+    # so(40) and u(40): bracket tables of up to 3.5 and 30.5 GiB
     tracemalloc.start()
     try:
         start = time.perf_counter()

@@ -228,8 +228,13 @@ def test_results_do_not_depend_on_the_block_budget(key, monkeypatch):
     skewed = algebra_from_dense("skewed", alg.basis, skewed, alg.killing)
     expected = [dense_view(alg), alg.validate(), bent.validate(), skewed.validate()]
     assert not expected[3]["ok"]
-    # one commutator per block in from_basis and one first index per
-    # antisymmetry and Killing block; the Jacobi check takes no block budget
+    rng = np.random.default_rng(4)
+    a, b, onto = (rng.standard_normal(shape) for shape in
+                  ((7, alg.dim), (5, alg.dim), (alg.dim, 3)))
+    tables = [alg.brackets(a, b), alg.brackets(a, b, onto)]
+    # one commutator per block in from_basis, one first index per
+    # antisymmetry and Killing block and one row of A per first-slot table
+    # in brackets; the Jacobi check takes no block budget
     monkeypatch.setattr(liealg, "_BLOCK", 64)
     small = liealg.from_basis(alg.name, alg.basis)
     assert np.abs(dense_view(small) - expected[0]).max() <= 1e-14
@@ -238,6 +243,10 @@ def test_results_do_not_depend_on_the_block_budget(key, monkeypatch):
         assert report["ok"] == ref["ok"]
         for name in ("antisymmetry", "jacobi", "killing_ad_invariance"):
             assert report[name] == pytest.approx(ref[name], rel=1e-9, abs=1e-14)
+    for budget in (64, 1):
+        monkeypatch.setattr(liealg, "_BLOCK", budget)
+        assert np.array_equal(alg.brackets(a, b), tables[0])
+        assert np.array_equal(alg.brackets(a, b, onto), tables[1])
 
 
 def test_basis_that_is_not_closed_is_rejected(monkeypatch):
@@ -391,6 +400,40 @@ def test_bracket_dimension_mismatch():
     so5 = build_so(5)
     with pytest.raises(LieAlgebraError):
         so5.bracket(np.ones(3), np.ones(10))
+
+
+@pytest.mark.parametrize("key,builder", STRUCTURE_BUILDERS, ids=[k for k, _ in STRUCTURE_BUILDERS])
+def test_brackets_match_the_dense_contraction(key, builder):
+    alg = builder()
+    c = dense_view(alg)
+    rng = np.random.default_rng(12)
+    a, b, onto = (rng.standard_normal(shape) for shape in
+                  ((9, alg.dim), (6, alg.dim), (alg.dim, 4)))
+    for got, ref in [(alg.brackets(a, b, onto), np.einsum("pi,qj,ijk,kr->pqr", a, b, c, onto)),
+                     (alg.brackets(a, b), np.einsum("pi,qj,ijk->pqk", a, b, c))]:
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_brackets_check_their_widths():
+    so3 = build_so(3)
+    rows = np.eye(3)
+    for a, b in [([[1, 0, 0, 7, 9]], [[0, 1, 0]]), (rows, rows[:, :2]),
+                 (rows[0], rows), (rows, np.ones((2, 3, 3)))]:
+        with pytest.raises(LieAlgebraError):
+            so3.brackets(a, b)
+    for onto in (np.ones((4, 2)), np.ones((2, 3)), np.ones(3)):
+        with pytest.raises(LieAlgebraError):
+            so3.brackets(rows, rows, onto)
+    for x in (np.ones(5), np.ones(2), np.ones((1, 3))):
+        with pytest.raises(LieAlgebraError):
+            so3.ad(x)
+        with pytest.raises(LieAlgebraError):
+            so3.bracket(x, rows[0])
+    assert so3.brackets(rows[:0], rows).shape == (0, 3, 3)
+    assert so3.brackets(rows, rows[:0], np.ones((3, 2))).shape == (3, 0, 2)
+    assert so3.brackets(rows, rows, np.ones((3, 0))).shape == (3, 3, 0)
+    assert np.abs(so3.brackets([[1, 0, 0]], [[0, 1, 0]]) - [[[0, 0, 1]]]).max() < 1e-12
 
 
 def test_brackets_table_matches_pairwise_bracket(rng):
