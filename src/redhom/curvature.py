@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .liealg import _max_abs
 from .reductive import (
     Blocks,
     MetricSpec,
@@ -46,12 +47,21 @@ class Tensor3:
         return self.blocks.dense
 
     def skew_residual(self) -> float:
-        """Departure from total skewness (symmetric part in the last two slots)."""
+        """Departure from total skewness (symmetric part in the last two slots).
+
+        The symmetric part of a block pair (a,b,c), (a,c,b) is formed once,
+        from the side b <= c; its (a,c,b) block is the transpose.
+        """
         parts, worst = self.blocks.parts, 0.0
         for (a, b, c), block in parts.items():
             partner = parts.get((a, c, b))
-            sym = block if partner is None else block + partner.transpose(0, 2, 1)
-            worst = max(worst, float(np.abs(sym).max()))
+            if partner is None:
+                sym = block
+            elif b <= c:
+                sym = block + partner.transpose(0, 2, 1)
+            else:
+                continue
+            worst = max(worst, _max_abs(sym))
         return worst
 
     def is_totally_skew(self, tol: float = TOL.torsion_skew) -> bool:

@@ -17,8 +17,9 @@ import numpy as np
 from .tolerances import TOL
 
 # entries of one scratch table in an algebra build, the antisymmetry and Killing
-# checks, a bracket table's first slot or a connection's equivariance check;
-# the Jacobi check is not blocked
+# checks, a space's validate bracket rows or a connection's equivariance
+# check, and of all the scratch of one block of a bracket table; the Jacobi
+# check is not blocked
 _BLOCK = 1 << 16
 
 # Associative 3-form on R^7: index triples (1-based) and signs.
@@ -40,6 +41,11 @@ class LieAlgebraError(ValueError):
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _max_abs(a: np.ndarray) -> float:
+    """max |a| (0 when empty), read off the extremes with no |a| temporary."""
+    return float(max(a.max(initial=0.0), -a.min(initial=0.0)))
 
 
 def nullspace(a, rtol: float = TOL.nullspace_rtol):
@@ -148,9 +154,12 @@ class LieAlgebra:
         ``onto = ip.gram @ C.T`` reads the brackets off in an ip-orthonormal
         basis C.  Fixed contraction order, one block of rows of A at a time:
         A against the first structure slot, G[p, j, k] = sum_i A[p, i] c[i, j, k],
-        summed in order over the constants that share (j, k), into a table
-        of at most ``_BLOCK`` entries (one row of A if dim^2 is larger); then
-        B against the second slot (batched matmul); then ``onto``.
+        summed in order over the constants that share (j, k); then B against
+        the second slot (batched matmul); then ``onto``.  A block holds as
+        many rows of A as ``_BLOCK`` entries allow for everything it
+        allocates: per row the constants' terms, the dim^2 first-slot table
+        and len(B) * (dim + width of the output) for the product with B and
+        its slab of the output; one row when even that is larger.
         """
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         d = self.dim
@@ -161,25 +170,32 @@ class LieAlgebra:
             onto = np.asarray(onto, dtype=float)
             if onto.ndim != 2 or onto.shape[0] != d:
                 raise LieAlgebraError(f"expected a read-off with {d} rows, got shape {onto.shape}")
-        i, c, cols, layers = self._first_slot_groups
         out = np.empty((a.shape[0], b.shape[0], d if onto is None else onto.shape[1]))
-        step = max(1, _BLOCK // max(d, 1) ** 2)
+        per_row = self.structure_c.size + d * d + b.shape[0] * (d + out.shape[2])
+        step = max(1, _BLOCK // max(per_row, 1))
+        # each first-slot table is a temporary of one statement, so no
+        # block's scratch lives on into the next
         for lo in range(0, a.shape[0], step):
-            part = a[lo:lo + step]
-            terms = np.ascontiguousarray(part.T)[i] * c[:, None]    # c[i,j,k] A[p,i] by constant
-            g = np.zeros((part.shape[0], d * d))
-            if layers:
-                # each column's constants summed in order, one rank at a time
-                rows = terms[layers[0][0]]
-                for pos, col in layers[1:]:
-                    rows[col] += terms[pos]
-                g[:, cols] = rows.T
-            g = g.reshape(-1, d, d)
             if onto is None:
-                np.matmul(b, g, out=out[lo:lo + step])
+                np.matmul(b, self._first_slot(a[lo:lo + step]), out=out[lo:lo + step])
             else:
-                np.matmul(b @ g, onto, out=out[lo:lo + step])
+                np.matmul(b @ self._first_slot(a[lo:lo + step]), onto, out=out[lo:lo + step])
         return out
+
+    def _first_slot(self, part: np.ndarray) -> np.ndarray:
+        """G[p, j, k] = sum_i A[p, i] c[i, j, k] for a block of rows of A,
+        each (j, k) column's constants summed in order, one rank at a time."""
+        i, c, cols, layers = self._first_slot_groups
+        d = self.dim
+        g = np.zeros((part.shape[0], d * d))
+        if layers:
+            terms = np.ascontiguousarray(part.T)[i]   # c[i,j,k] A[p,i] by constant
+            terms *= c[:, None]
+            rows = terms[layers[0][0]]
+            for pos, col in layers[1:]:
+                rows[col] += terms[pos]
+            g[:, cols] = rows.T
+        return g.reshape(-1, d, d)
 
     def ad(self, x) -> np.ndarray:
         """Matrix of ad(X) acting on coefficient vectors."""
@@ -216,7 +232,7 @@ class LieAlgebra:
             part[pair, k[at]] = c[at]
             part[held] = part[held] @ self.killing
             part = part.reshape(-1, d, d)
-            ad_inv = max(ad_inv, np.abs(part + part.transpose(0, 2, 1)).max())
+            ad_inv = max(ad_inv, _max_abs(part + part.transpose(0, 2, 1)))
         jacobi = _jacobi_residual(self.structure_ijk, c, d)
         return {
             "antisymmetry": float(antisym),

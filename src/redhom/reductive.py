@@ -16,9 +16,11 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import liealg
 from .liealg import (
     InnerProduct,
     LieAlgebra,
+    _max_abs,
     _read_only,
     gram_schmidt,
     negative_killing,
@@ -29,10 +31,6 @@ from .tolerances import TOL
 
 class ReductiveError(ValueError):
     """Invalid reductive decomposition or isotropy split."""
-
-
-def _max_abs(a: np.ndarray) -> float:
-    return float(np.abs(a).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -322,29 +320,50 @@ class ReductiveSpace:
     def validate(self, tol: float = TOL.valid) -> dict:
         """Residuals of the reductive-space invariants.
 
-        The split row reads no cached table: it forms the bracket vectors
-        [Z_a, Z_b] and drops them, so the check leaves no M^2 dim g table,
-        nor ``bm`` or ``bk``, on a space that may be thrown away, such as
-        the unsplit space of a flag build.
+        Each bracket row compares [A_p, B_q] with its rebuild from the
+        k- and m-parts over blocks of rows of A whose bracket vectors hold
+        at most ``_BLOCK`` entries (one row when len(B) * dim g is larger),
+        and keeps only the running maximum of the defect; see
+        ``_bracket_defect``.  The split row reads no cached table, so the
+        check leaves no M^2 dim g table, nor ``bm`` or ``bk``, on a space
+        that may be thrown away, such as the unsplit space of a flag build.
         """
         g = self.ip.gram
         k, m = self.k_basis, self.m_basis
+        # [Z_a, Z_b] must decompose exactly into k- and m-parts: the defect
+        # vecs - vecs G (m^T m + k^T k)
+        parts = g @ (m.T @ m + k.T @ k)
         res = {
             "m_orthonormal": _max_abs(m @ g @ m.T - np.eye(self.dim_m)),
             "k_m_orthogonal": _max_abs(k @ g @ m.T),
             # [k, k] and [k, m] must be rebuilt by their k- and m-parts
-            "k_closed": _max_abs(self.algebra.brackets(k, k) - self.k_structure @ k),
-            "k_m_in_m": _max_abs(self.algebra.brackets(k, m)
-                                 - self.adk.transpose(0, 2, 1) @ m),
+            "k_closed": _bracket_defect(self.algebra, k, k,
+                                        lambda rows, vecs: self.k_structure[rows] @ k),
+            "k_m_in_m": _bracket_defect(self.algebra, k, m,
+                                        lambda rows, vecs: self.adk[rows].transpose(0, 2, 1) @ m),
+            "m_bracket_split": _bracket_defect(self.algebra, m, m,
+                                               lambda rows, vecs: vecs @ parts),
         }
-        # [Z_a, Z_b] must decompose exactly into k- and m-parts: the defect
-        # vecs - vecs G (m^T m + k^T k), formed in one buffer beside vecs
-        vecs = self.algebra.brackets(m, m)
-        split = vecs @ (g @ (m.T @ m + k.T @ k))
-        np.subtract(vecs, split, out=split)
-        res["m_bracket_split"] = _max_abs(split)
         res["ok"] = bool(max(res.values()) < tol)
         return res
+
+
+def _bracket_defect(algebra: LieAlgebra, a, b, rebuild) -> float:
+    """max |[A_p, B_q] - rebuild(rows, vecs)| over blocks of rows of A.
+
+    ``vecs`` are the bracket vectors of one block, sliced by ``rows`` from
+    A, of at most ``_BLOCK`` entries (one row of A when len(B) * dim g is
+    larger); the defect is formed in the rebuild's buffer and dropped.
+    """
+    step = max(1, liealg._BLOCK // max(len(b) * algebra.dim, 1))
+    worst = 0.0
+    for lo in range(0, len(a), step):
+        rows = slice(lo, lo + step)
+        vecs = algebra.brackets(a[rows], b)
+        defect = rebuild(rows, vecs)
+        np.subtract(vecs, defect, out=defect)
+        worst = max(worst, _max_abs(defect))
+    return worst
 
 
 def decompose(algebra: LieAlgebra, k_basis, ip: InnerProduct | None = None,

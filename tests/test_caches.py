@@ -103,6 +103,20 @@ def reference_validate(space):
     return report
 
 
+def one_table_validate(space):
+    """The bracket rows of ``ReductiveSpace.validate`` as one table each:
+    every bracket vector [A_p, B_q] of the row formed at once, less its
+    rebuild from the k- and m-parts, with the maximum read off |defect|."""
+    alg, g, k, m = space.algebra, space.ip.gram, space.k_basis, space.m_basis
+    vecs = alg.brackets(m, m)
+    split = vecs @ (g @ (m.T @ m + k.T @ k))
+    np.subtract(vecs, split, out=split)
+    return {"k_closed": float(np.abs(alg.brackets(k, k) - space.k_structure @ k).max(initial=0.0)),
+            "k_m_in_m": float(np.abs(alg.brackets(k, m)
+                                     - space.adk.transpose(0, 2, 1) @ m).max(initial=0.0)),
+            "m_bracket_split": float(np.abs(split).max(initial=0.0))}
+
+
 def dense_torsion(nm):
     """T = L - L[b,a,c] - bm_f on the dense coefficients, bm_f rescaled from bm."""
     bm_f = frame_rescale(nm.space.bm, frame_sigma(nm.space, nm.metric))
@@ -258,6 +272,14 @@ def test_bm_and_bk_come_from_one_transient_bracket_table(space_id):
     ref = reference_validate(validated)
     assert report.keys() == ref.keys() and report["ok"]
     for key, value in ref.items():
+        assert abs(report[key] - value) <= 1e-15, key
+
+
+@pytest.mark.parametrize("space_id", catalog.known_ids())
+def test_validate_streams_the_one_table_bracket_rows(space_id):
+    space = _fresh(catalog.build_space(space_id))
+    report = space.validate()
+    for key, value in one_table_validate(space).items():
         assert abs(report[key] - value) <= 1e-15, key
 
 
@@ -436,6 +458,38 @@ def test_bm_is_built_beside_bounded_scratch():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * 8 * space.dim_m ** 3
+
+
+@pytest.mark.parametrize("space_id", ["flag-B(5,4)", "flag-C(5,3)", "flag-D(6,4)",
+                                      "flag-D(8,5)"])
+def test_brackets_scratch_stays_within_the_block_budget(space_id):
+    # the first-slot table alone was sized to the budget; its per-constant
+    # terms and the product with B took the scratch to 2.17-3.16 x
+    space = catalog.build_space(space_id)
+    alg, m = space.algebra, space.m_basis
+    onto = space.ip.gram @ m.T
+    alg.brackets(m[:1], m[:1])               # the algebra's constant index, built once
+    for call in (lambda: alg.brackets(m, m, onto), lambda: alg.brackets(m, m)):
+        tracemalloc.start()
+        try:
+            out = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 1.5 * 8 * liealg._BLOCK
+
+
+def test_flag_build_holds_no_whole_bracket_vector_table():
+    # validate's split row held the (M, M, dim g) bracket vectors, their
+    # defect and |defect| at once: 3.57 x 8 M^2 dim g on flag-D(8,5)
+    space = catalog.build_space("flag-D(8,5)")   # the algebra and its index, cached
+    tracemalloc.start()
+    try:
+        catalog.build_flag.__wrapped__("D", 8, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * 8 * space.dim_m ** 2 * space.algebra.dim
 
 
 def test_point_task_holds_at_most_two_m3_tables(flag_d64):

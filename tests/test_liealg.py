@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from redhom.liealg import (
     stabilizer_subalgebra,
     vector_annihilator_constraint,
 )
+from redhom.reductive import decompose
 from redhom.tolerances import TOL
 
 
@@ -232,9 +234,18 @@ def test_results_do_not_depend_on_the_block_budget(key, monkeypatch):
     a, b, onto = (rng.standard_normal(shape) for shape in
                   ((7, alg.dim), (5, alg.dim), (alg.dim, 3)))
     tables = [alg.brackets(a, b), alg.brackets(a, b, onto)]
+    # a space over the first basis vector, and one over random k and m
+    # rows, whose every bracket row is far from 0 and has its maximum in
+    # one row block
+    space = decompose(alg, np.eye(alg.dim)[:1])
+    scattered = dataclasses.replace(space, k_basis=rng.standard_normal((3, alg.dim)),
+                                    m_basis=rng.standard_normal((alg.dim - 3, alg.dim)))
+    reports = [space.validate(), scattered.validate()]
+    assert reports[0]["ok"] and not reports[1]["ok"]
     # one commutator per block in from_basis, one first index per
-    # antisymmetry and Killing block and one row of A per first-slot table
-    # in brackets; the Jacobi check takes no block budget
+    # antisymmetry and Killing block, one row of A per block of brackets
+    # and of ReductiveSpace.validate's bracket rows; the Jacobi check
+    # takes no block budget
     monkeypatch.setattr(liealg, "_BLOCK", 64)
     small = liealg.from_basis(alg.name, alg.basis)
     assert np.abs(dense_view(small) - expected[0]).max() <= 1e-14
@@ -247,6 +258,7 @@ def test_results_do_not_depend_on_the_block_budget(key, monkeypatch):
         monkeypatch.setattr(liealg, "_BLOCK", budget)
         assert np.array_equal(alg.brackets(a, b), tables[0])
         assert np.array_equal(alg.brackets(a, b, onto), tables[1])
+        assert [dataclasses.replace(s).validate() for s in (space, scattered)] == reports
 
 
 def test_basis_that_is_not_closed_is_rejected(monkeypatch):
